@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the loss-probability cap and trace the constrained growth frontier.
 
-For a fixed bet and horizon, solve the capped-loss sizing problem at a
-grid of cap values u and record the chosen fraction, its estimated
-growth, and the estimated violation probability.  The common-random-
-numbers design makes the whole frontier a deterministic function of the
-seed.
+For a fixed bet and horizon, score the capped-loss grid once, pick the
+best feasible fraction on it at each cap value u, and record the chosen
+fraction, its estimated growth, and the estimated violation probability.
+The common-random-numbers design makes the whole frontier a
+deterministic function of the seed.
 
 Output CSV columns: u, f_star, e_growth, se_growth, p_violation, feasible.
 """
@@ -14,10 +14,9 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from betlab.betmath import BetSpec
-from betlab.grational import GrationalProblem, LossKind, McBudget, solve
+from betlab.grational import (GrationalProblem, LossKind, McBudget, best_feasible,
+                              solve)
 from betlab.seeding import DEFAULT_SEED
 
 
@@ -38,23 +37,28 @@ def main() -> None:
     args = ap.parse_args()
 
     budget = McBudget(n_paths=args.paths, root_seed=args.seed)
-    caps = [float(tok) for tok in args.caps.split(",")]
+    problems = [
+        GrationalProblem(
+            bet=BetSpec(p=args.p, d=args.d),
+            n_steps=args.steps,
+            loss_kind=LossKind(args.loss),
+            loss_threshold=args.threshold,
+            max_prob=float(tok),
+        )
+        for tok in args.caps.split(",")
+    ]
+    # The grid does not depend on the cap: score it once, then pick f_star
+    # per cap from it.
+    grid = solve(problems[0], budget, grid_step=args.grid_step).grid
 
     fh = open(args.output, "w", newline="") if args.output else sys.stdout
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["u", "f_star", "e_growth", "se_growth", "p_violation",
                      "feasible"])
-    for u in caps:
-        problem = GrationalProblem(
-            bet=BetSpec(p=args.p, d=args.d),
-            n_steps=args.steps,
-            loss_kind=LossKind(args.loss),
-            loss_threshold=args.threshold,
-            max_prob=u,
-        )
-        sol = solve(problem, budget, grid_step=args.grid_step)
+    for problem in problems:
+        sol = best_feasible(grid, problem.max_prob)
         writer.writerow([
-            format(u, ".12g"),
+            format(problem.max_prob, ".12g"),
             format(sol.f_star, ".12g"),
             format(sol.expected_growth.value, ".12g"),
             format(sol.expected_growth.se, ".12g"),

@@ -31,12 +31,6 @@ import numpy as np
 
 from .errors import DomainError, NoPositiveRoot
 
-# Absolute tolerance for the critical-fraction root and the bracket margin
-# keeping the search away from the f=1 log singularity.
-_ROOT_TOL = 1e-12
-_BRACKET_EPS = 1e-9
-
-
 @dataclass(frozen=True)
 class BetSpec:
     """A biased-coin wager: win probability ``p`` at odds ``d``.
@@ -120,10 +114,14 @@ def critical_fraction(bet: BetSpec) -> float:
 
     Betting any more than ``f_c`` makes long-run growth negative (and ruin
     asymptotically certain); any less keeps it positive.  Located by
-    bisection on ``(f* + eps, 1 - eps)`` to absolute tolerance 1e-12;
-    bisection is derivative-free, which avoids the slope blowup near
-    ``f -> 1``.  Requires a positive edge, otherwise no positive root
-    exists and :class:`NoPositiveRoot` is raised.
+    bisection in ``y = -log(1 - f)``, which moves the ``f -> 1`` log
+    singularity to ``y -> inf``: there growth is ``p*log(1 + d*f) - q*y``,
+    positive at the Kelly point and negative beyond ``y = p*log(1 + d)/q``.
+    Bisection runs until the bracket holds no double between its ends, so
+    a root as close to 1 as ``1 - 1e-10`` is found; one closer to 1 than
+    the spacing of doubles there rounds to 1.0.  Requires a positive edge
+    and ``p < 1``, otherwise no positive root exists and
+    :class:`NoPositiveRoot` is raised.
     """
     f_star = kelly_fraction(bet)
     if f_star <= 0.0:
@@ -132,25 +130,15 @@ def critical_fraction(bet: BetSpec) -> float:
         raise NoPositiveRoot(
             f"bet (p={bet.p}, d={bet.d}) never loses, so growth never crosses zero"
         )
-    lo = f_star + _BRACKET_EPS
-    hi = 1.0 - _BRACKET_EPS
-    if lo >= hi:
-        raise NoPositiveRoot(f"root bracket is empty for (p={bet.p}, d={bet.d})")
-    g_lo = asymptotic_growth(bet, lo)
-    g_hi = asymptotic_growth(bet, hi)
-    if g_lo <= 0.0 or g_hi >= 0.0:
-        # p = 1 never crosses zero; extreme-edge bets may push the root
-        # inside the epsilon margin.
-        raise NoPositiveRoot(
-            f"growth does not change sign on ({lo}, {hi}) for (p={bet.p}, d={bet.d})"
-        )
-    while hi - lo > _ROOT_TOL:
-        mid = 0.5 * (lo + hi)
-        if asymptotic_growth(bet, mid) > 0.0:
+    lo = -math.log1p(-f_star)
+    # twice the bound above, so growth is negative there even where f rounds to 1
+    hi = 2.0 * bet.p * math.log1p(bet.d) / bet.q
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if bet.p * math.log1p(-bet.d * math.expm1(-mid)) > bet.q * mid:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return -math.expm1(-hi)
 
 
 def stochastic_p_fraction(p_mean: float, d: float) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -157,8 +159,8 @@ class TestCriticalFraction:
     @settings(max_examples=60)
     def test_exceeds_kelly_and_growth_negative_beyond(self, bet):
         assume(kelly_fraction(bet) > 0.0)
-        # extreme edges push the zero crossing inside the bracket margin
-        # at 1 - 1e-9, where the solver correctly reports no root
+        # with extreme edges the zero crossing lies above 1 - 1e-9, too
+        # close to 1 for the probes below to evaluate growth past it
         assume(asymptotic_growth(bet, 1.0 - 1e-9) < 0.0)
         f_c = critical_fraction(bet)
         assert f_c > kelly_fraction(bet)
@@ -168,6 +170,22 @@ class TestCriticalFraction:
         for frac in np.linspace(1e-4, 0.9, 7):
             f = f_c + max(frac * (1.0 - f_c), 1e-11)
             assert asymptotic_growth(bet, f) < 0.0
+
+
+    def test_root_near_one_is_found(self):
+        # p*log(2) = q*y at y = 0.97*log(2)/0.03, so f_c = 1 - 1.85e-10
+        bet = BetSpec(0.97, 1.0)
+        f_c = critical_fraction(bet)
+        assert 1.0 - f_c == pytest.approx(math.exp(-0.97 * math.log(2.0) / 0.03), rel=1e-5)
+        assert asymptotic_growth(bet, f_c - 1e-11) > 0.0 > asymptotic_growth(bet, f_c + 1e-11)
+
+    @given(p=st.floats(0.0, 1.0, exclude_max=True), d=st.floats(1e-6, 1e6))
+    @settings(max_examples=300)
+    def test_exceeds_kelly_whenever_edge_is_positive(self, p, d):
+        bet = BetSpec(p, d)
+        assume(kelly_fraction(bet) > 0.0)
+        f_c = critical_fraction(bet)
+        assert kelly_fraction(bet) < f_c <= 1.0
 
 
 class TestVariants:

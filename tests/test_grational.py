@@ -1,18 +1,29 @@
 import math
+import runpy
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from betlab import grational
 from betlab.betmath import BetSpec, kelly_fraction
 from betlab.errors import BudgetError, DomainError, InfeasibleThreshold
 from betlab.grational import (
+    GrationalGrid,
     GrationalProblem,
     LossKind,
     McBudget,
+    best_feasible,
     solve,
     violation_probability,
 )
+from betlab.wealthsim import outcome_matrix
+
+GROWTH_FRONTIER = Path(__file__).resolve().parents[1] / "scripts" / "growth_frontier.py"
 
 BET = BetSpec(0.6, 1.0)
 
@@ -38,6 +49,45 @@ def enumerated_violation(bet, f, n, kind, threshold):
             wins = sum(outcome)
             total += bet.p**wins * (1 - bet.p) ** (n - wins)
     return total
+
+
+def brute_force_grid(problem, wins, fractions):
+    """Score every grid fraction on the full log-wealth matrix."""
+    n_paths, n_steps = wins.shape
+    counts = np.zeros((n_paths, n_steps + 1), dtype=np.int64)
+    np.cumsum(wins, axis=1, out=counts[:, 1:])
+    steps = np.arange(n_steps + 1, dtype=float)
+
+    e_growth = np.empty(fractions.size)
+    se_growth = np.empty(fractions.size)
+    p_violation = np.empty(fractions.size)
+    se_violation = np.empty(fractions.size)
+    d = problem.bet.d
+    for i, f in enumerate(fractions):
+        a = math.log1p(d * f)
+        b = math.log1p(-f)
+        lw = counts * (a - b) + steps * b
+        growth = lw[:, -1] / n_steps
+        e_growth[i] = growth.mean()
+        se_growth[i] = growth.std(ddof=1) / math.sqrt(n_paths) if n_paths > 1 else 0.0
+        if problem.loss_kind is LossKind.WORST_LOSS:
+            losses = -lw.min(axis=1)
+        else:
+            losses = (np.maximum.accumulate(lw, axis=1) - lw).max(axis=1)
+        p_hat = (losses >= problem.loss_threshold).mean()
+        p_violation[i] = p_hat
+        se_violation[i] = math.sqrt(p_hat * (1.0 - p_hat) / n_paths)
+    return GrationalGrid(
+        f=fractions,
+        e_growth=e_growth,
+        se_growth=se_growth,
+        p_violation=p_violation,
+        se_violation=se_violation,
+        feasible=p_violation <= problem.max_prob,
+    )
+
+
+GRID_FIELDS = ("e_growth", "se_growth", "p_violation", "se_violation", "feasible")
 
 
 class TestValidation:
@@ -177,3 +227,92 @@ class TestSolve:
             == grid.p_violation.shape
             == grid.feasible.shape
         )
+
+
+class TestFirstViolationSearch:
+    @given(
+        p=st.floats(0.0, 1.0),
+        d=st.floats(0.01, 100.0),
+        kind=st.sampled_from(list(LossKind)),
+        n_steps=st.integers(1, 300),
+        n_paths=st.integers(1, 40),
+        threshold=st.one_of(
+            st.floats(5e-324, 1e-3), st.floats(1e-3, 20.0), st.just(math.inf)
+        ),
+        max_prob=st.floats(0.0, 1.0),
+        fractions=st.one_of(
+            # solve's grid, down to a single point when f_max < grid_step
+            st.tuples(st.floats(0.001, 0.1), st.floats(0.0, 0.999)).map(
+                lambda t: np.arange(math.floor(t[1] / t[0]) + 1) * t[0]
+            ),
+            # violation_probability's one-point grid
+            st.floats(0.0, 0.999).map(lambda f: np.asarray([f])),
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_brute_force(
+        self, p, d, kind, n_steps, n_paths, threshold, max_prob, fractions, seed
+    ):
+        bet = BetSpec(p, d)
+        problem = GrationalProblem(bet, n_steps, kind, threshold, max_prob)
+        wins = outcome_matrix(bet, n_steps, n_paths, seed)
+        grid = grational._grid_stats(problem, wins, fractions)
+        expected = brute_force_grid(problem, wins, fractions)
+        for field in GRID_FIELDS:
+            assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_log_wealth_passes_bounded_by_grid_bits(self, kind, monkeypatch):
+        rows = []
+        path_losses = grational._path_losses
+
+        def counting(lw, *args):
+            rows.append(lw.shape[0])
+            return path_losses(lw, *args)
+
+        monkeypatch.setattr(grational, "_path_losses", counting)
+        problem = GrationalProblem(BET, 300, kind, 0.3, 0.1)
+        budget = McBudget(1000, 5)
+        grid = solve(problem, budget).grid
+        passes = math.ceil(math.log2(grid.f.size + 1))
+        assert grid.f.size == 100 and passes == 7
+        assert 0 < sum(rows) <= passes * budget.n_paths
+
+
+class TestCapSweep:
+    def test_best_feasible_matches_solve_per_cap(self):
+        budget = McBudget(1500, 41)
+        problem = GrationalProblem(BET, 60, LossKind.DRAWDOWN, 0.3, 0.5)
+        grid = solve(problem, budget, grid_step=0.02).grid
+        for u in [0.0, 0.01, 0.1, 0.3, 1.0]:
+            per_cap = solve(
+                GrationalProblem(BET, 60, LossKind.DRAWDOWN, 0.3, u), budget, grid_step=0.02
+            )
+            swept = best_feasible(grid, u)
+            assert swept.f_star == per_cap.f_star
+            assert swept.expected_growth == per_cap.expected_growth
+            assert swept.violation_prob == per_cap.violation_prob
+            assert swept.feasible == per_cap.feasible
+            for field in GRID_FIELDS:
+                assert np.array_equal(getattr(swept.grid, field), getattr(per_cap.grid, field))
+
+    def test_growth_frontier_csv_matches_per_cap_solve(self, tmp_path, monkeypatch):
+        caps = "0.01,0.05,0.2,1.0"
+        out = tmp_path / "frontier.csv"
+        argv = [
+            "growth_frontier.py", "--p", "0.6", "--d", "1", "--steps", "40",
+            "--loss", "worstloss", "--threshold", "0.4", "--paths", "1200",
+            "--grid-step", "0.02", "--seed", "43", "--caps", caps, "--output", str(out),
+        ]
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(GROWTH_FRONTIER), run_name="__main__")
+
+        lines = ["u,f_star,e_growth,se_growth,p_violation,feasible"]
+        for u in (float(tok) for tok in caps.split(",")):
+            problem = GrationalProblem(BET, 40, LossKind.WORST_LOSS, 0.4, u)
+            sol = solve(problem, McBudget(1200, 43), grid_step=0.02)
+            values = [u, sol.f_star, sol.expected_growth.value, sol.expected_growth.se,
+                      sol.violation_prob.value]
+            lines.append(",".join(format(v, ".12g") for v in values) + f",{int(sol.feasible)}")
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
