@@ -238,7 +238,10 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
             )
         else:
             dist = millerclear.sample_normal_opinions(args.mean, sd, args.buyers, seed)
-        prices.append(millerclear.clearing_price(dist, auction))
+        price = millerclear.clearing_price(dist, auction)
+        if not math.isfinite(price):
+            raise DomainError(f"the clearing price at sd {_fmt(sd)} is not finite ({price})")
+        prices.append(price)
     payload = {
         "mean": args.mean,
         "quantile_level": level,

@@ -15,6 +15,7 @@ Determinism: a match draws from per-player streams derived from
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -245,6 +246,17 @@ def _iid_choices(strategy: Strategy, n_rounds: int) -> np.ndarray:
     return np.where(strategy.rng.random(n_rounds) < p, H, T).astype("U1")
 
 
+def _check_match(n_rounds: int, stake: float, rake: float) -> None:
+    if n_rounds < 1:
+        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
+    if not (math.isfinite(stake) and stake > 0.0):
+        raise DomainError(f"stake must be positive and finite, got {stake}")
+    if not (math.isfinite(rake) and rake >= 0.0):
+        raise DomainError(f"rake must be nonnegative and finite, got {rake}")
+    if not math.isfinite(n_rounds * (stake + rake)):
+        raise DomainError(f"stake {stake} and rake {rake} over {n_rounds} rounds overflow")
+
+
 def play_match(
     strategy1: Strategy,
     strategy2: Strategy,
@@ -259,12 +271,7 @@ def play_match(
     one vectorized pass; this consumes the same underlying uniforms in
     the same order as the round loop, so the transcript is identical.
     """
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
-    if not stake > 0.0:
-        raise DomainError(f"stake must be positive, got {stake}")
-    if rake < 0.0:
-        raise DomainError(f"rake must be nonnegative, got {rake}")
+    _check_match(n_rounds, stake, rake)
     strategy1.begin(stream(root_seed, 1), player=1)
     strategy2.begin(stream(root_seed, 2), player=2)
 
@@ -296,10 +303,7 @@ def spy_match(
     Player 2 simply mismatches, so gain2 = +stake every round with zero
     variance, whatever strategy 1 does.
     """
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
-    if not stake > 0.0:
-        raise DomainError(f"stake must be positive, got {stake}")
+    _check_match(n_rounds, stake, 0.0)
     strategy1.begin(stream(root_seed, 1), player=1)
     c1 = np.empty(n_rounds, dtype="U1")
     for i in range(n_rounds):

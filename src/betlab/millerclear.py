@@ -23,11 +23,11 @@ the optional truncate flag clamps at zero (off by default).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _st
 
 from .errors import DomainError, NoClear
 from .seeding import stream
@@ -42,8 +42,7 @@ class NormalOpinions:
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        if self.sd < 0.0:
-            raise DomainError(f"sd must be nonnegative, got {self.sd}")
+        _check_normal(self.mean, self.sd)
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,13 @@ class EmpiricalOpinions:
         if self.truncate:
             samples = np.maximum(samples, 0.0)
         object.__setattr__(self, "samples", samples)
+
+
+def _check_normal(mean: float, sd: float) -> None:
+    if not math.isfinite(mean):
+        raise DomainError(f"mean must be finite, got {mean}")
+    if not (math.isfinite(sd) and sd >= 0.0):
+        raise DomainError(f"sd must be finite and nonnegative, got {sd}")
 
 
 OpinionDistribution = NormalOpinions | EmpiricalOpinions
@@ -103,13 +109,19 @@ def clearing_price(dist: OpinionDistribution, auction: AuctionSpec) -> float:
     """Price set by the marginal optimist: the supply-th highest estimate.
 
     Normal mode uses the exact quantile; with supply = M the level is 0
-    and the idealized price diverges to -inf (truncate clamps it to 0).
+    and the idealized price diverges to -inf (truncate clamps it to 0),
+    unless sd is 0 and every estimate is the mean.
     Empirical mode requires exactly M samples and takes the order
     statistic directly.
     """
     level = auction.quantile_level()
     if isinstance(dist, NormalOpinions):
-        price = dist.mean + dist.sd * float(_st.norm.ppf(level))
+        from scipy.special import ndtri  # the kernel of scipy.stats.norm.ppf
+
+        if dist.sd == 0.0 and level == 0.0:
+            price = dist.mean  # not mean + 0 * -inf
+        else:
+            price = dist.mean + dist.sd * float(ndtri(level))
         return max(price, 0.0) if dist.truncate else price
     if dist.samples.size != auction.m_buyers:
         raise DomainError(
@@ -128,10 +140,9 @@ def dispersion_sweep(
     pinned at the mean at 1/2, decreasing below.
     """
     sds = np.asarray(sds, dtype=float)
-    if sds.size == 0 or np.any(sds < 0) or np.any(np.diff(sds) < 0):
-        raise DomainError("sds must be nonempty, nonnegative, and nondecreasing")
-    z = float(_st.norm.ppf(auction.quantile_level()))
-    return mean + z * sds
+    if sds.size == 0 or np.any(np.diff(sds) < 0):
+        raise DomainError("sds must be nonempty and nondecreasing")
+    return np.asarray([clearing_price(NormalOpinions(mean, sd), auction) for sd in sds])
 
 
 def short_selling_effect(
@@ -179,7 +190,9 @@ def sample_normal_opinions(
     """Draw one estimate per buyer from Normal(mean, sd), seeded stream."""
     if m_buyers < 1:
         raise DomainError(f"m_buyers must be >= 1, got {m_buyers}")
-    if sd < 0.0:
-        raise DomainError(f"sd must be nonnegative, got {sd}")
-    draws = mean + sd * stream(root_seed).standard_normal(m_buyers)
+    _check_normal(mean, sd)
+    with np.errstate(over="ignore"):
+        draws = mean + sd * stream(root_seed).standard_normal(m_buyers)
+    if not np.all(np.isfinite(draws)):
+        raise DomainError(f"draws from Normal({mean}, {sd}) overflow double precision")
     return EmpiricalOpinions(samples=draws, truncate=truncate)

@@ -38,7 +38,6 @@ from enum import Enum
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import stats as _st
 
 from .errors import DomainError, EmptySelection
 
@@ -83,7 +82,7 @@ class TradeRecord:
 
 @dataclass(frozen=True)
 class TradeSeries:
-    """Ordered per-period records; Flat periods must carry zero P&L."""
+    """Ordered per-period records with finite P&L; Flat periods carry zero."""
 
     records: tuple[TradeRecord, ...]
 
@@ -93,6 +92,8 @@ class TradeSeries:
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise DomainError("period_ids must be strictly increasing")
         for r in records:
+            if not math.isfinite(r.pnl):
+                raise DomainError(f"period {r.period_id}: pnl must be finite, got {r.pnl}")
             if r.side is Side.FLAT and r.pnl != 0.0:
                 raise DomainError(f"flat period {r.period_id} carries pnl {r.pnl}")
         object.__setattr__(self, "records", records)
@@ -160,8 +161,20 @@ def runs_test(outcomes: Sequence[bool]) -> RunsResult:
     else:
         mu = 1.0 + 2.0 * n1 * n2 / n
         var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-        p = float(_st.norm.cdf((runs + 0.5 - mu) / math.sqrt(var)))
+        from scipy.special import ndtr  # the kernel of scipy.stats.norm.cdf
+
+        p = float(ndtr((runs + 0.5 - mu) / math.sqrt(var)))
     return RunsResult(runs=runs, p_value_too_few=min(max(p, 0.0), 1.0), degenerate=False)
+
+
+def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd (NaN for one value) of finite P&L that must not overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(pnl.mean())
+        sd = float(pnl.std(ddof=1)) if pnl.size > 1 else math.nan
+    if not math.isfinite(mean) or math.isinf(sd):
+        raise DomainError("P&L sums overflow double precision")
+    return mean, sd
 
 
 def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
@@ -174,13 +187,15 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
         raise EmptySelection(f"no positioned periods under filter {which.value!r}")
     pnl = np.asarray([r.pnl for r in in_market], dtype=float)
     npi = pnl.size
-    pnlpp = float(pnl.mean())
-    sdpnl = float(pnl.std(ddof=1)) if npi > 1 else math.nan
+    pnlpp, sdpnl = _mean_sd(pnl)
     ir = pnlpp / sdpnl if sdpnl and not math.isnan(sdpnl) else math.nan
 
     # Drawdown over the universe's cumulative curve, peak seeded at 0.
-    cum = np.concatenate(([0.0], np.cumsum([r.pnl for r in universe])))
-    maxdd = float(np.max(np.maximum.accumulate(cum) - cum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cum = np.concatenate(([0.0], np.cumsum([r.pnl for r in universe])))
+        maxdd = float(np.max(np.maximum.accumulate(cum) - cum))
+    if not math.isfinite(maxdd):
+        raise DomainError("cumulative P&L overflows double precision")
 
     signs = [r.pnl > 0 for r in in_market if r.pnl != 0.0]
     if signs:
@@ -217,9 +232,27 @@ def cumulative_pnl(series: TradeSeries) -> list[tuple[int, float]]:
 
 def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
     """Total P&L averaged over the number of years covered."""
-    if not n_years > 0:
-        raise DomainError(f"n_years must be positive, got {n_years}")
-    return row.pnltot / n_years
+    if not (math.isfinite(n_years) and n_years > 0):
+        raise DomainError(f"n_years must be positive and finite, got {n_years}")
+    avg = row.pnltot / n_years
+    if not math.isfinite(avg):
+        raise DomainError(f"average gain per year overflows over {n_years} years")
+    return avg
+
+
+def _ttest_pvalue(pnl: np.ndarray) -> float:
+    """Two-sided p-value of the one-sample t-test of mean 0.
+
+    Step for step the arithmetic of ``scipy.stats.ttest_1samp``, so the
+    value agrees to the last bit; ``np.var(ddof=1)`` would not.
+    """
+    from scipy.special import stdtr
+
+    n = pnl.size
+    m = pnl.mean()
+    v = np.mean((pnl - m) ** 2) * (n / (n - 1))
+    t = m / math.sqrt(v / n)
+    return float(2 * stdtr(n - 1, -abs(t)))
 
 
 def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
@@ -237,14 +270,14 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     )
     if pnl.size < 30:
         return Ppgs.INDETERMINATE
-    mean = float(pnl.mean())
-    if float(pnl.std(ddof=1)) == 0.0:
+    mean, sd = _mean_sd(pnl)
+    if sd == 0.0:
         if mean > 0:
             return Ppgs.POSITIVE
         if mean < 0:
             return Ppgs.NEGATIVE
         return Ppgs.INDETERMINATE
-    p_value = float(_st.ttest_1samp(pnl, 0.0).pvalue)
+    p_value = _ttest_pvalue(pnl)
     if p_value < alpha and mean > 0:
         return Ppgs.POSITIVE
     if p_value < alpha and mean < 0:
@@ -264,15 +297,12 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
         if letter not in _SIDE_LETTERS:
             raise DomainError(f"line {i}: side must be one of L,S,F, got {row['side']!r}")
         try:
-            records.append(
-                TradeRecord(
-                    period_id=int(row["period_id"]),
-                    side=Side(letter),
-                    pnl=float(row["pnl"]),
-                )
-            )
-        except ValueError as exc:
+            period_id, pnl = int(row["period_id"]), float(row["pnl"])
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
             raise DomainError(f"line {i}: {exc}") from exc
+        if not math.isfinite(pnl):
+            raise DomainError(f"line {i}: pnl must be finite, got {row['pnl']!r}")
+        records.append(TradeRecord(period_id=period_id, side=Side(letter), pnl=pnl))
     if not records:
         raise DomainError("no data rows in trades CSV")
     return TradeSeries(records=tuple(records))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -340,3 +344,39 @@ class TestSimulate:
         assert lines[0] == "path_id,step,log_wealth,outcome"
         assert lines[1] == "0,0,0,"
         assert len(lines) == 1 + 2 * 4
+
+
+class TestImportGraph:
+    def test_scipy_loads_only_for_stats_and_miller(self, trades_csv):
+        # A fresh interpreter, since this one has long imported scipy.
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from betlab import cli
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(list(argv)) == 0, argv
+
+            run("kelly", "--p", "0.6", "--d", "1")
+            run("grational", "--p", "0.6", "--d", "1", "--steps", "5", "--threshold",
+                "0.3", "--max-prob", "0.2", "--paths", "1000", "--grid-step", "0.1")
+            run("simulate", "--p", "0.6", "--d", "1", "--f", "0.2", "--steps", "5",
+                "--paths", "3")
+            run("pennies", "--p1", "biased:0.6", "--p2", "exploiter", "--rounds", "20")
+            run("popp", "--state", "++,+,+,-,-,-,+,?,+")
+            print(scipy_modules())
+            run("stats", "--input", {trades_csv!r}, "--ppgs-alpha", "0.05")
+            run("miller", "--sds", "0,5", "--shares", "50", "--buyers", "1000")
+            print("scipy.special" in scipy_modules(), "scipy.stats" in sys.modules)
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True False"]

@@ -80,6 +80,24 @@ class TestNormalClearing:
         assert clearing_price(NormalOpinions(50.0, 10.0, truncate=True), spec) == 0.0
 
 
+class TestScipyOracle:
+    @given(
+        mean=st.floats(min_value=-1e6, max_value=1e6),
+        sd=st.floats(min_value=0.0, max_value=1e6),
+        m_buyers=st.integers(min_value=2, max_value=10**9),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=400, deadline=None)  # the first call imports scipy.stats
+    def test_normal_price_is_mean_plus_sd_ppf(self, mean, sd, m_buyers, share):
+        from scipy.stats import norm
+
+        supply = min(max(1, round(share * m_buyers)), m_buyers - 1)
+        spec = AuctionSpec(n_shares=supply, m_buyers=m_buyers)
+        expected = mean + sd * float(norm.ppf(spec.quantile_level()))
+        assert clearing_price(NormalOpinions(mean, sd), spec) == expected
+        assert dispersion_sweep(mean, [sd], spec)[0] == expected
+
+
 class TestDispersionSweep:
     def test_premium_grows_with_dispersion(self):
         prices = dispersion_sweep(50.0, [0.0, 5.0, 10.0], SCARCE)

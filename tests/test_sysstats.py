@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from betlab.errors import DomainError, EmptySelection
 from betlab.sysstats import (
+    _ttest_pvalue,
     Filter,
     Ppgs,
     Side,
@@ -273,6 +275,49 @@ class TestPpgsClassify:
         rng = np.random.default_rng(13)
         pnls = rng.normal(loc=1.0, scale=1.0, size=200)
         assert ppgs_classify(series_of(*[("L", v) for v in pnls])) is Ppgs.POSITIVE
+
+
+class TestScipyOracle:
+    """scipy.stats computes these values from the same kernels; the match is bitwise."""
+
+    @given(st.lists(st.booleans(), min_size=31, max_size=400))
+    @settings(max_examples=300, deadline=None)  # the first call imports scipy.stats
+    def test_runs_normal_branch_is_norm_cdf(self, flags):
+        from scipy.stats import norm
+
+        n1 = sum(flags)
+        n2 = len(flags) - n1
+        if n1 == 0 or n2 == 0:
+            return
+        n = n1 + n2
+        runs = 1 + sum(a != b for a, b in zip(flags, flags[1:]))
+        mu = 1.0 + 2.0 * n1 * n2 / n
+        var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
+        expected = float(norm.cdf((runs + 0.5 - mu) / math.sqrt(var)))
+        assert runs_test(flags).p_value_too_few == min(max(expected, 0.0), 1.0)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e9, max_value=1e9),
+                st.integers(min_value=-50, max_value=50).map(float),
+            ),
+            min_size=2,
+            max_size=300,
+        ),
+        st.floats(min_value=-1e3, max_value=1e3),
+    )
+    @settings(max_examples=400, deadline=None)  # the first call imports scipy.stats
+    def test_ttest_pvalue_is_ttest_1samp(self, values, shift):
+        from scipy.stats import ttest_1samp
+
+        pnl = np.asarray(values) + shift
+        if float(pnl.std(ddof=1)) == 0.0:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss note
+            expected = float(ttest_1samp(pnl, 0.0).pvalue)
+        assert _ttest_pvalue(pnl) == expected
 
 
 class TestCsvAndFormatting:
