@@ -11,53 +11,37 @@ Output CSV columns: kind, f, value1, value2.  Rows of kind 'curve' hold
 growth, drawdown).
 """
 
-import argparse
-import csv
-import sys
-
 import numpy as np
 
+from betlab import cli
 from betlab.betmath import BetSpec, asymptotic_growth, critical_fraction, \
     kelly_fraction
-from betlab.seeding import DEFAULT_SEED
 from betlab.wealthsim import SimConfig, drawdown, simulate_paths
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--p", type=float, default=0.6)
-    ap.add_argument("--d", type=float, default=1.0)
-    ap.add_argument("--steps", type=int, default=10000)
-    ap.add_argument("--paths", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--output", default=None)
-    args = ap.parse_args()
 
+def overbetting(args):
     bet = BetSpec(p=args.p, d=args.d)
     f_star = kelly_fraction(bet)
     f_c = critical_fraction(bet)
-
-    fh = open(args.output, "w", newline="") if args.output else sys.stdout
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["kind", "f", "value1", "value2"])
-
+    yield ["kind", "f", "value1", "value2"]
     for f in np.linspace(0.0, min(0.98, f_c + 0.1), 50):
-        writer.writerow(
-            ["curve", format(f, ".12g"),
-             format(asymptotic_growth(bet, float(f)), ".12g"), ""]
-        )
-
+        yield ["curve", f, asymptotic_growth(bet, float(f)), ""]
     for f in (f_star, min(2 * f_star, 0.99), min(f_c + 0.02, 0.99)):
         config = SimConfig(bet=bet, f=float(f), n_steps=args.steps,
                            n_paths=args.paths, root_seed=args.seed)
         for path in simulate_paths(config):
             realized = (path.log_wealth[-1] - path.log_wealth[0]) / path.n_steps
-            writer.writerow(
-                ["path", format(f, ".12g"), format(realized, ".12g"),
-                 format(drawdown(path), ".12g")]
-            )
-    if args.output:
-        fh.close()
+            yield ["path", f, realized, drawdown(path)]
+
+
+def build_parser():
+    ap = cli.script_parser(__doc__, overbetting)
+    ap.add_argument("--p", type=float, default=0.6)
+    ap.add_argument("--d", type=float, default=1.0)
+    ap.add_argument("--steps", type=int, default=10000)
+    ap.add_argument("--paths", type=int, default=20)
+    return ap
 
 
 if __name__ == "__main__":
-    main()
+    cli.main(build_parser())

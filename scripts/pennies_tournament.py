@@ -9,12 +9,8 @@ ones and lose nothing to the random ones.
 Output CSV columns: player1, player2, rounds, mean_gain1.
 """
 
-import argparse
-import csv
-import sys
-
+from betlab import cli
 from betlab.games import parse_strategy, play_match
-from betlab.seeding import DEFAULT_SEED
 
 LINEUP = [
     "coinflip",
@@ -28,29 +24,22 @@ LINEUP = [
 ]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rounds", type=int, default=5000)
-    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ap.add_argument("--output", default=None)
-    args = ap.parse_args()
-
-    fh = open(args.output, "w", newline="") if args.output else sys.stdout
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["player1", "player2", "rounds", "mean_gain1"])
+def tournament(args):
+    yield ["player1", "player2", "rounds", "mean_gain1"]
     for spec1 in LINEUP:
         for spec2 in LINEUP:
             transcript = play_match(
                 parse_strategy(spec1), parse_strategy(spec2),
                 args.rounds, root_seed=args.seed,
             )
-            writer.writerow([
-                spec1, spec2, args.rounds,
-                format(transcript.total_gain1 / args.rounds, ".12g"),
-            ])
-    if args.output:
-        fh.close()
+            yield [spec1, spec2, args.rounds, transcript.total_gain1 / args.rounds]
+
+
+def build_parser():
+    ap = cli.script_parser(__doc__, tournament)
+    ap.add_argument("--rounds", type=int, default=5000)
+    return ap
 
 
 if __name__ == "__main__":
-    main()
+    cli.main(build_parser())

@@ -45,8 +45,8 @@ class BetSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise DomainError(f"win probability must lie in [0, 1], got {self.p}")
-        if not self.d > 0.0:
-            raise DomainError(f"odds must be positive, got {self.d}")
+        if not (self.d > 0.0 and math.isfinite(self.d)):
+            raise DomainError(f"odds must be positive and finite, got {self.d}")
 
     @property
     def q(self) -> float:

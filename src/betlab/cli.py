@@ -10,12 +10,14 @@ Conventions shared by every subcommand:
   precision.  Undefined values print as NA in text, null in json.
 * ``--output PATH`` writes the payload to a file instead of stdout.
 * Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage.
+
+The experiment scripts in ``scripts/`` run through :func:`run` as well,
+with ``--seed`` and ``--output`` but no ``--format``: they print CSV.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -25,41 +27,18 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import betmath, games, grational, millerclear, popp, sysstats, wealthsim
+from . import betmath, games, grational, millerclear, popp, render, sysstats, wealthsim
 from .errors import DomainError, NoPositiveRoot
 from .seeding import DEFAULT_SEED
 
 SEED_ENV_VAR = "GRATIONAL_SEED"
 
 
-def _fmt(value: object) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
-
-
-def _kv_text(payload: dict) -> str:
-    return "\n".join(f"{key} {_fmt(value)}" for key, value in payload.items())
-
-
-def _rows_writer(rows: Iterable[Sequence[object]]) -> Callable[[IO[str]], None]:
-    def write(fh: IO[str]) -> None:
-        csv.writer(fh, lineterminator="\n").writerows(
-            [[_fmt(cell) if not isinstance(cell, str) else cell for cell in row] for row in rows]
-        )
-
-    return write
-
-
 @dataclass
 class CommandOutput:
-    text: str
     payload: dict
     csv_write: Callable[[IO[str]], None]
+    text: str | None = None  # None: one "key value" line per payload entry
 
 
 def _seed_type(text: str) -> int:
@@ -97,11 +76,8 @@ def _cmd_kelly(args: argparse.Namespace) -> CommandOutput:
         f_c = None
     growth = betmath.asymptotic_growth(bet, f) if f < 1.0 else math.log1p(bet.d)
     payload = {"f": f, "f_c": f_c, "growth": growth}
-    return CommandOutput(
-        text=_kv_text(payload),
-        payload=payload,
-        csv_write=_rows_writer([["f", "f_c", "growth"], [f, f_c, growth]]),
-    )
+    rows = [list(payload), list(payload.values())]
+    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
@@ -129,11 +105,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         "mean_drawdown": float(np.mean([s.drawdown for s in stats])),
         "ruin_fraction": float(np.mean([s.ruined for s in stats])),
     }
-    return CommandOutput(
-        text=_kv_text(payload),
-        payload=payload,
-        csv_write=lambda fh: wealthsim.write_paths_csv(paths, fh),
-    )
+    return CommandOutput(payload, lambda fh: wealthsim.write_paths_csv(paths, fh))
 
 
 def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
@@ -160,20 +132,15 @@ def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
     rows: list[Sequence[object]] = [
         ["f", "e_growth", "se_growth", "p_violation", "se_violation", "feasible"]
     ]
-    for i in range(grid.f.size):
-        rows.append(
-            [
-                float(grid.f[i]),
-                float(grid.e_growth[i]),
-                float(grid.se_growth[i]),
-                float(grid.p_violation[i]),
-                float(grid.se_violation[i]),
-                int(grid.feasible[i]),
-            ]
-        )
-    return CommandOutput(
-        text=_kv_text(payload), payload=payload, csv_write=_rows_writer(rows)
+    rows += zip(
+        grid.f.tolist(),
+        grid.e_growth.tolist(),
+        grid.se_growth.tolist(),
+        grid.p_violation.tolist(),
+        grid.se_violation.tolist(),
+        grid.feasible.astype(int).tolist(),
     )
+    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows))
 
 
 def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
@@ -188,14 +155,14 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     payload: dict = {label: fields}
     if args.years is not None:
         avg = sysstats.average_gain_per_year(row, args.years)
-        text += f"\navg_gain_per_year {_fmt(avg)}"
+        text += f"\navg_gain_per_year {render.cell(avg)}"
         payload["avg_gain_per_year"] = avg
     if args.ppgs_alpha is not None:
         label_cls = sysstats.ppgs_classify(series, alpha=args.ppgs_alpha).value
         text += f"\nclassification {label_cls}"
         payload["classification"] = label_cls
     rows = [["filter", *sysstats.SUMMARY_COLUMNS], [label, *fields.values()]]
-    return CommandOutput(text=text, payload=payload, csv_write=_rows_writer(rows))
+    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
 
 
 def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
@@ -217,11 +184,7 @@ def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
         "mean_gain1": transcript.total_gain1 / transcript.n_rounds,
         "mean_gain2": transcript.total_gain2 / transcript.n_rounds,
     }
-    return CommandOutput(
-        text=_kv_text(payload),
-        payload=payload,
-        csv_write=lambda fh: games.write_transcript_csv(transcript, fh),
-    )
+    return CommandOutput(payload, lambda fh: games.write_transcript_csv(transcript, fh))
 
 
 def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
@@ -240,7 +203,9 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
             dist = millerclear.sample_normal_opinions(args.mean, sd, args.buyers, seed)
         price = millerclear.clearing_price(dist, auction)
         if not math.isfinite(price):
-            raise DomainError(f"the clearing price at sd {_fmt(sd)} is not finite ({price})")
+            raise DomainError(
+                f"the clearing price at sd {render.cell(sd)} is not finite ({price})"
+            )
         prices.append(price)
     payload = {
         "mean": args.mean,
@@ -249,10 +214,10 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
         "sds": args.sds,
         "prices": prices,
     }
-    text = "\n".join(f"{_fmt(sd)} {_fmt(price)}" for sd, price in zip(args.sds, prices))
-    rows: list[Sequence[object]] = [["sd", "clearing_price"]]
-    rows += [[sd, price] for sd, price in zip(args.sds, prices)]
-    return CommandOutput(text=text, payload=payload, csv_write=_rows_writer(rows))
+    pairs = list(zip(args.sds, prices))
+    text = "\n".join(f"{render.cell(sd)} {render.cell(price)}" for sd, price in pairs)
+    rows = [("sd", "clearing_price"), *pairs]
+    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
 
 
 def _cmd_popp(args: argparse.Namespace) -> CommandOutput:
@@ -264,10 +229,46 @@ def _cmd_popp(args: argparse.Namespace) -> CommandOutput:
         "kelly_multiplier": multipliers[top_phase],
     }
     text = "\n".join(f"{phase.value} {score}" for phase, score in ranking)
-    text += f"\nkelly_multiplier {_fmt(multipliers[top_phase])}"
+    text += f"\nkelly_multiplier {render.cell(multipliers[top_phase])}"
     rows: list[Sequence[object]] = [["phase", "score", "kelly_multiplier"]]
     rows += [[phase.value, score, multipliers[phase]] for phase, score in ranking]
-    return CommandOutput(text=text, payload=payload, csv_write=_rows_writer(rows))
+    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
+
+
+def _add_common_options(parser: argparse.ArgumentParser, with_format: bool) -> None:
+    parser.add_argument(
+        "--seed",
+        type=_seed_type,
+        default=None,
+        help=f"root seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
+    )
+    if with_format:
+        parser.add_argument(
+            "--format", choices=["text", "json", "csv"], default="text",
+            help="output format (default text)",
+        )
+    parser.add_argument("--output", default=None, help="write output to this file")
+
+
+def script_parser(
+    doc: str, table: Callable[[argparse.Namespace], Iterable[Sequence[object]]]
+) -> argparse.ArgumentParser:
+    """Parser of an experiment script that prints ``table(args)`` as CSV.
+
+    ``doc``'s first line is the description.  The script adds its own
+    flags, then passes the parser to :func:`run` or :func:`main`.  By then
+    ``args.seed`` holds the resolved seed.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    _add_common_options(parser, with_format=False)
+
+    def handler(args: argparse.Namespace) -> CommandOutput:
+        args.seed = _resolve_seed(args.seed)
+        rows = list(table(args))
+        return CommandOutput({}, lambda fh: render.write_rows(fh, rows))
+
+    parser.set_defaults(format="csv", handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,17 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy-lifecycle classification.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=_seed_type,
-        default=None,
-        help=f"root seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
-    )
-    common.add_argument(
-        "--format", choices=["text", "json", "csv"], default="text",
-        help="output format (default text)",
-    )
-    common.add_argument("--output", default=None, help="write output to this file")
+    _add_common_options(common, with_format=True)
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -367,7 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args: argparse.Namespace, result: CommandOutput) -> None:
     def write(fh: IO[str]) -> None:
         if args.format == "text":
-            fh.write(result.text + "\n")
+            text = result.text
+            if text is None:
+                text = "\n".join(f"{k} {render.cell(v)}" for k, v in result.payload.items())
+            fh.write(text + "\n")
         elif args.format == "json":
             fh.write(json.dumps(result.payload, indent=2, allow_nan=False) + "\n")
         else:
@@ -380,8 +374,12 @@ def _emit(args: argparse.Namespace, result: CommandOutput) -> None:
             write(fh)
 
 
-def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def run(
+    argv: Sequence[str] | None = None, parser: argparse.ArgumentParser | None = None
+) -> int:
+    """Parse ``argv`` with ``parser`` (the ``betlab`` parser by default),
+    run the handler it selects and emit its output; return the exit code."""
+    parser = parser or build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
@@ -389,17 +387,17 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         result = args.handler(args)
         _emit(args, result)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def main() -> None:
-    sys.exit(run())
+def main(parser: argparse.ArgumentParser | None = None) -> None:
+    """Program entry point; exits with :func:`run`'s code unless it is 0,
+    so a script run in-process (``runpy``) returns normally on success."""
+    if code := run(parser=parser):
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,43 +14,23 @@ Determinism: a match draws from per-player streams derived from
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import IO
 
 import numpy as np
 
+from . import render
 from .errors import DomainError
 from .seeding import stream
 
 H = "H"
 T = "T"
 
-# (player1 gain, player2 gain) per unit stake, keyed by (choice1, choice2).
-MATCHING_PENNIES: dict[tuple[str, str], tuple[int, int]] = {
-    (H, H): (1, -1),
-    (H, T): (-1, 1),
-    (T, H): (-1, 1),
-    (T, T): (1, -1),
-}
-
-
-@dataclass(frozen=True)
-class PayoffMatrix:
-    """2x2 bimatrix keyed by (choice1, choice2); must be zero-sum cell-wise."""
-
-    cells: dict[tuple[str, str], tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        if set(self.cells) != {(H, H), (H, T), (T, H), (T, T)}:
-            raise DomainError("payoff matrix needs exactly the four H/T cells")
-        for key, (g1, g2) in self.cells.items():
-            if g1 + g2 != 0:
-                raise DomainError(f"cell {key} is not zero-sum: {(g1, g2)}")
-
-
-PENNIES_MATRIX = PayoffMatrix(cells={k: v for k, v in MATCHING_PENNIES.items()})
+# Rounds per batch when writing a transcript: whole columns at once would
+# hold the text of every row in memory.
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -246,9 +226,23 @@ def _iid_choices(strategy: Strategy, n_rounds: int) -> np.ndarray:
     return np.where(strategy.rng.random(n_rounds) < p, H, T).astype("U1")
 
 
+def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> GameTranscript:
+    """The payoff rule: player 1 wins the stake on a match, player 2 on a
+    mismatch, and each pays half the rake every round."""
+    match = c1 == c2
+    return GameTranscript(
+        choices1=c1,
+        choices2=c2,
+        gains1=np.where(match, stake, -stake) - rake / 2.0,
+        gains2=np.where(match, -stake, stake) - rake / 2.0,
+        stake=stake,
+        rake=rake,
+    )
+
+
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
+    if not 1 <= n_rounds <= np.iinfo(np.intp).max:
+        raise DomainError(f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {n_rounds}")
     if not (math.isfinite(stake) and stake > 0.0):
         raise DomainError(f"stake must be positive and finite, got {stake}")
     if not (math.isfinite(rake) and rake >= 0.0):
@@ -288,11 +282,7 @@ def play_match(
             c2[i] = b
             strategy1.observe(a, b)
             strategy2.observe(b, a)
-    gains1 = np.where(c1 == c2, stake, -stake) - rake / 2.0
-    gains2 = np.where(c1 == c2, -stake, stake) - rake / 2.0
-    return GameTranscript(
-        choices1=c1, choices2=c2, gains1=gains1, gains2=gains2, stake=stake, rake=rake
-    )
+    return _transcript(c1, c2, stake, rake)
 
 
 def spy_match(
@@ -310,11 +300,7 @@ def spy_match(
         a = strategy1.choose()
         c1[i] = a
         strategy1.observe(a, T if a == H else H)
-    c2 = np.where(c1 == H, T, H).astype("U1")
-    gains2 = np.full(n_rounds, stake)
-    return GameTranscript(
-        choices1=c1, choices2=c2, gains1=-gains2, gains2=gains2, stake=stake
-    )
+    return _transcript(c1, np.where(c1 == H, T, H).astype("U1"), stake, 0.0)
 
 
 def responder_expected_gain(
@@ -383,15 +369,17 @@ def parse_strategy(text: str) -> Strategy:
 
 def write_transcript_csv(transcript: GameTranscript, fh: IO[str]) -> None:
     """Emit rounds as CSV (round, choice1, choice2, gain1, gain2)."""
-    writer = csv.writer(fh, lineterminator="\n")
+    t = transcript
+    writer = render.csv_writer(fh)
     writer.writerow(["round", "choice1", "choice2", "gain1", "gain2"])
-    for i in range(transcript.n_rounds):
-        writer.writerow(
-            [
-                i + 1,
-                transcript.choices1[i],
-                transcript.choices2[i],
-                format(transcript.gains1[i], ".12g"),
-                format(transcript.gains2[i], ".12g"),
-            ]
+    for start in range(0, t.n_rounds, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        writer.writerows(
+            zip(
+                count(start + 1),
+                t.choices1[block].tolist(),
+                t.choices2[block].tolist(),
+                render.floats(t.gains1[block].tolist()),
+                render.floats(t.gains2[block].tolist()),
+            )
         )

@@ -41,23 +41,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
 from .betmath import BetSpec, GrowthCurve
 from .errors import BudgetError, DomainError, InfeasibleThreshold
-from .wealthsim import outcome_matrix
+from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
 _F_CAP = 0.999
+# At most a million grid points: a finer step asks for a grid too large to
+# allocate, or (near 5e-324) one whose size overflows.
+_MIN_GRID_STEP = 1e-6
 # Log-wealth cells per block of paths in the violation search (512 KB).
 _BLOCK_CELLS = 1 << 16
-
-
-class LossKind(str, Enum):
-    WORST_LOSS = "worstloss"
-    DRAWDOWN = "drawdown"
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,6 @@ class GrationalSolution:
     grid: GrationalGrid
 
 
-def _path_losses(lw: np.ndarray, kind: LossKind, scratch: np.ndarray) -> np.ndarray:
-    # lw has a leading zero column (s = 0), so both functionals are >= 0.
-    # scratch is a buffer of lw's shape that the drawdown overwrites.
-    if kind is LossKind.WORST_LOSS:
-        return -lw.min(axis=1)
-    np.maximum.accumulate(lw, axis=1, out=scratch)
-    scratch -= lw
-    return scratch.max(axis=1)
-
-
 def _first_hits(
     problem: GrationalProblem, wins: np.ndarray, ab: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
@@ -167,7 +154,7 @@ def _first_hits(
             mid = np.where(open_, (lo + hi) // 2, 0)
             np.multiply(c, ab[mid][:, None], out=w)
             w += np.multiply.outer(b[mid], steps, out=s)
-            hits = _path_losses(w, problem.loss_kind, s) >= problem.loss_threshold
+            hits = path_losses(w, problem.loss_kind, s) >= problem.loss_threshold
             hi = np.where(open_ & hits, mid, hi)
             lo = np.where(open_ & ~hits, mid, lo)
         first[start : start + m] = hi
@@ -217,8 +204,8 @@ def solve(
     incurs zero loss, so with a positive threshold the feasible set is
     never empty.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise DomainError(f"grid_step must lie in (0, 0.1], got {grid_step}")
+    if not _MIN_GRID_STEP <= grid_step <= 0.1:
+        raise DomainError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.1], got {grid_step}")
     if not 0.0 <= f_max < 1.0:
         raise DomainError(f"f_max must lie in [0, 1), got {f_max}")
     if budget.n_paths < _MIN_PATHS:

@@ -173,6 +173,8 @@ def classify_phase(observed: StateVars) -> list[tuple[Phase, int]]:
     observed 'NA'.  Ties keep lifecycle order, so equal scores appear as
     adjacent entries with the same score.
     """
+    if not isinstance(observed, StateVars):
+        raise DomainError(f"expected a StateVars, got {observed!r}")
     scored = [(phase, _match_score(observed, PHASE_TABLE[phase])) for phase in Phase]
     return sorted(scored, key=lambda item: -item[1])
 

@@ -31,7 +31,6 @@ Semantics worth spelling out:
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,7 +38,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from . import render
 from .errors import DomainError, EmptySelection
+from .wealthsim import LossKind, path_losses
 
 # Exact runs-test enumeration up to this length; normal approximation
 # with continuity correction beyond it.
@@ -193,7 +194,7 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     # Drawdown over the universe's cumulative curve, peak seeded at 0.
     with np.errstate(over="ignore", invalid="ignore"):
         cum = np.concatenate(([0.0], np.cumsum([r.pnl for r in universe])))
-        maxdd = float(np.max(np.maximum.accumulate(cum) - cum))
+        maxdd = float(path_losses(cum, LossKind.DRAWDOWN))
     if not math.isfinite(maxdd):
         raise DomainError("cumulative P&L overflows double precision")
 
@@ -335,26 +336,10 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
 def format_summary_text(rows: Sequence[tuple[str, SummaryRow]]) -> str:
     """Aligned text table in the canonical column order, one row per label."""
     header = ["", *SUMMARY_COLUMNS]
-    body = []
-    for label, row in rows:
-        fields = display_fields(row)
-        body.append(
-            [label]
-            + [
-                "NA" if v is None else (str(v) if isinstance(v, int) else format(v, ".12g"))
-                for v in fields.values()
-            ]
-        )
+    body = [[label, *map(render.cell, display_fields(row).values())] for label, row in rows]
     widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
     lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip()
         for line in [header, *body]
     ]
     return "\n".join(lines)
-
-
-def format_summary_json(rows: Sequence[tuple[str, SummaryRow]]) -> str:
-    """JSON object keyed by row label, full precision."""
-    return json.dumps(
-        {label: display_fields(row) for label, row in rows}, indent=2, allow_nan=False
-    )

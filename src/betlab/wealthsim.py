@@ -13,6 +13,8 @@ a path:
 Both are in nats and nonnegative (the index range includes ``s = 0``, so
 the starting point itself bounds them below by zero), and drawdown
 dominates worst loss because the running peak is at least ``W_0``.
+``path_losses`` computes either one over the last axis of an array, so
+one kernel serves a single path, a block of paths and a P&L curve.
 
 Seeding contract: path ``k`` is a pure function of ``(root_seed, k)``
 via a per-path spawned stream, so reruns and parallel runs produce
@@ -21,13 +23,15 @@ identical paths regardless of evaluation order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from enum import Enum
+from itertools import count, repeat
 from typing import IO, Sequence
 
 import numpy as np
 
+from . import render
 from .betmath import BetSpec
 from .errors import DomainError
 from .seeding import stream
@@ -39,6 +43,11 @@ DEFAULT_RUIN_FLOOR = 1e-9
 # Cap on adaptive betting fractions, keeping log(1-f) finite when the
 # running win-rate estimate hits 1 (e.g. an all-win prefix).
 ADAPTIVE_F_MAX = 0.999
+
+
+class LossKind(str, Enum):
+    WORST_LOSS = "worstloss"
+    DRAWDOWN = "drawdown"
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,8 @@ def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> 
     """
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be >= 1")
+    if n_paths * n_steps > np.iinfo(np.intp).max:
+        raise DomainError(f"{n_paths} paths of {n_steps} steps exceed what numpy can index")
     wins = np.empty((n_paths, n_steps), dtype=bool)
     for k in range(n_paths):
         wins[k] = stream(root_seed, k).random(n_steps) < bet.p
@@ -133,19 +144,32 @@ def simulate_paths(config: SimConfig) -> list[WealthPath]:
     return [WealthPath(log_wealth=lw[k], outcomes=wins[k]) for k in range(config.n_paths)]
 
 
+def path_losses(
+    lw: np.ndarray, kind: LossKind, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Worst loss or drawdown of log wealth over its last axis.
+
+    ``lw[..., 0]`` is the start.  Drawdown writes the running peak into
+    ``out``, a scratch buffer of ``lw``'s shape, or into a new array.
+    """
+    if kind is LossKind.WORST_LOSS:
+        return lw[..., 0] - lw.min(axis=-1)
+    peak = np.maximum.accumulate(lw, axis=-1, out=out)
+    peak -= lw
+    return peak.max(axis=-1)
+
+
 def worst_loss(path: WealthPath) -> float:
     """Greatest relative loss from the start: ``log(W_0) - min_s log(W_s)``.
 
     Nonnegative because ``s = 0`` is included in the minimum.
     """
-    lw = path.log_wealth
-    return float(lw[0] - lw.min())
+    return float(path_losses(path.log_wealth, LossKind.WORST_LOSS))
 
 
 def drawdown(path: WealthPath) -> float:
     """Greatest relative loss from a running peak, in one forward pass."""
-    lw = path.log_wealth
-    return float(np.max(np.maximum.accumulate(lw) - lw))
+    return float(path_losses(path.log_wealth, LossKind.DRAWDOWN))
 
 
 def path_stats(path: WealthPath, ruin_floor: float = DEFAULT_RUIN_FLOOR) -> PathStats:
@@ -200,11 +224,9 @@ def write_paths_csv(paths: Sequence[WealthPath], fh: IO[str]) -> None:
 
     Step 0 has no outcome; its cell is left empty.  Outcomes are 1/0.
     """
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = render.csv_writer(fh)
     writer.writerow(["path_id", "step", "log_wealth", "outcome"])
     for k, path in enumerate(paths):
-        writer.writerow([k, 0, format(path.log_wealth[0], ".12g"), ""])
-        for s in range(1, path.log_wealth.size):
-            writer.writerow(
-                [k, s, format(path.log_wealth[s], ".12g"), int(path.outcomes[s - 1])]
-            )
+        lw = render.floats(path.log_wealth.tolist())
+        writer.writerow([k, 0, next(lw), ""])
+        writer.writerows(zip(repeat(k), count(1), lw, path.outcomes.astype(np.int8).tolist()))

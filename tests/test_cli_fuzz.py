@@ -1,4 +1,4 @@
-"""CLI fuzzing: numeric flags and P&L values with NaN, infinities and huge values.
+"""CLI fuzzing: numeric flags, sizes and P&L values with NaN, infinities and huge values.
 
 Every run must exit 0, 1 or 2, raise no exception (a RuntimeWarning counts
 as one), print no traceback, and print no nan or inf; JSON must parse.
@@ -10,7 +10,7 @@ import json
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betlab.cli import SEED_ENV_VAR, run
@@ -29,6 +29,14 @@ def numbers(lo: float, hi: float) -> st.SearchStrategy[str]:
 
 def counts(hi: int) -> st.SearchStrategy[int]:
     return st.integers(-3, hi) | st.integers(-3, 10**30)
+
+
+def sizes(hi: int) -> st.SearchStrategy[int]:
+    """Array sizes: small ones, or ones numpy cannot index (never a huge allocation)."""
+    return st.integers(-3, hi) | st.integers(2**63, 10**30)
+
+
+SEEDS = st.none() | st.integers(min_value=-1, max_value=2**64)
 
 
 FORMATS = st.sampled_from(["text", "json", "csv"])
@@ -99,6 +107,78 @@ def test_pennies(fmt, stake, rake, p_h, spy, seed):
     argv = ["pennies", f"--format={fmt}", f"--p1=biased:{p_h}", "--rounds=16",
             f"--stake={stake}", f"--seed={seed}"]
     check(argv + ["--spy"] if spy else argv + ["--p2=exploiter", f"--rake={rake}"])
+
+
+def seed_flag(seed: int | None) -> list[str]:
+    return [] if seed is None else [f"--seed={seed}"]
+
+
+@given(fmt=FORMATS, p=numbers(0.0, 1.0), d=numbers(0.0, 10.0))
+@example(fmt="json", p="0.6", d="inf")
+@example(fmt="text", p="0.6", d="inf")
+@SETTINGS
+def test_kelly(fmt, p, d):
+    check(["kelly", f"--format={fmt}", f"--p={p}", f"--d={d}"])
+
+
+@given(
+    fmt=FORMATS,
+    p=numbers(0.0, 1.0),
+    d=numbers(0.0, 10.0),
+    f=numbers(0.0, 1.0),
+    steps=sizes(40),
+    paths=sizes(6),
+    w0=st.none() | numbers(0.0, 10.0),
+    seed=SEEDS,
+)
+@SETTINGS
+def test_simulate(fmt, p, d, f, steps, paths, w0, seed):
+    argv = ["simulate", f"--format={fmt}", f"--p={p}", f"--d={d}", f"--f={f}",
+            f"--steps={steps}", f"--paths={paths}", *seed_flag(seed)]
+    check(argv + ([] if w0 is None else [f"--w0={w0}"]))
+
+
+@given(
+    fmt=FORMATS,
+    p=numbers(0.0, 1.0),
+    d=numbers(0.0, 10.0),
+    steps=sizes(12),
+    loss=st.sampled_from(["worstloss", "drawdown"]),
+    threshold=numbers(0.0, 3.0),
+    max_prob=numbers(0.0, 1.0),
+    paths=st.sampled_from([1000, 1100]) | sizes(1200),
+    # A valid step is at least 0.02 here, so the grid has at most 50 points.
+    grid_step=st.floats(0.02, 0.1).map(repr) | st.sampled_from(
+        [repr(x) for x in EDGES + [-x for x in EDGES] + [float("nan"), float("inf")]]
+    ),
+    f_max=st.none() | numbers(0.0, 1.0),
+    seed=SEEDS,
+)
+@settings(max_examples=60, deadline=None)  # each valid run builds 1000+ streams
+@example(fmt="json", p="0.6", d="inf", steps=10, loss="worstloss", threshold="0.5",
+         max_prob="0.1", paths=1000, grid_step="0.05", f_max=None, seed=None)
+@example(fmt="text", p="0.6", d="1.0", steps=10**30, loss="drawdown", threshold="0.5",
+         max_prob="0.1", paths=1000, grid_step="0.05", f_max=None, seed=None)
+def test_grational(fmt, p, d, steps, loss, threshold, max_prob, paths, grid_step, f_max,
+                   seed):
+    argv = ["grational", f"--format={fmt}", f"--p={p}", f"--d={d}", f"--steps={steps}",
+            f"--loss={loss}", f"--threshold={threshold}", f"--max-prob={max_prob}",
+            f"--paths={paths}", f"--grid-step={grid_step}", *seed_flag(seed)]
+    check(argv + ([] if f_max is None else [f"--f-max={f_max}"]))
+
+
+LEVELS = ["--", "-", "=", "+", "++", "?", "NA"]
+
+
+@given(
+    fmt=FORMATS,
+    levels=st.lists(st.sampled_from(LEVELS), min_size=9, max_size=9)
+    | st.lists(st.sampled_from(LEVELS) | st.text(max_size=3), max_size=11),
+)
+@example(fmt="text", levels=["--"])  # argparse turns --state=-- into []
+@SETTINGS
+def test_popp(fmt, levels):
+    check(["popp", f"--format={fmt}", f"--state={','.join(levels)}"])
 
 
 @pytest.fixture(scope="module")

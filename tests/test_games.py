@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from betlab.errors import DomainError
 from betlab.games import (
-    MATCHING_PENNIES,
-    PENNIES_MATRIX,
     Alternator,
     BestResponder,
     Biased,
@@ -17,7 +15,6 @@ from betlab.games import (
     Fixed,
     FrequencyExploiter,
     GameTranscript,
-    PayoffMatrix,
     frequency_exploiter,
     parse_strategy,
     play_match,
@@ -27,19 +24,29 @@ from betlab.games import (
 )
 
 
+# The payoff oracle: (player1 gain, player2 gain) per unit stake, keyed by
+# (choice1, choice2).
+MATCHING_PENNIES = {
+    ("H", "H"): (1, -1),
+    ("H", "T"): (-1, 1),
+    ("T", "H"): (-1, 1),
+    ("T", "T"): (1, -1),
+}
+
+
 class TestPayoffs:
     def test_matching_pennies_cells(self):
-        assert MATCHING_PENNIES[("H", "H")] == (1, -1)
-        assert MATCHING_PENNIES[("H", "T")] == (-1, 1)
-        assert MATCHING_PENNIES[("T", "H")] == (-1, 1)
-        assert MATCHING_PENNIES[("T", "T")] == (1, -1)
-        assert PENNIES_MATRIX.cells == MATCHING_PENNIES
-
-    def test_rejects_non_zero_sum(self):
-        cells = dict(MATCHING_PENNIES)
-        cells[("H", "H")] = (1, 0)
-        with pytest.raises(DomainError):
-            PayoffMatrix(cells=cells)
+        # play_match and spy_match apply the payoff rule cell by cell.
+        for stake in (1.0, 2.5):
+            for (a, b), (g1, g2) in MATCHING_PENNIES.items():
+                t = play_match(Fixed(a), Fixed(b), 3, root_seed=0, stake=stake)
+                assert t.gains1.tolist() == [g1 * stake] * 3
+                assert t.gains2.tolist() == [g2 * stake] * 3
+            for a in "HT":
+                t = spy_match(Fixed(a), 3, root_seed=0, stake=stake)
+                g1, g2 = MATCHING_PENNIES[(a, t.choices2[0])]
+                assert t.gains1.tolist() == [g1 * stake] * 3
+                assert t.gains2.tolist() == [g2 * stake] * 3
 
 
 class TestPlayMatch:
@@ -247,6 +254,17 @@ class TestParseAndExport:
         assert lines[0] == "round,choice1,choice2,gain1,gain2"
         assert lines[1] == "1,H,T,-2,2"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("n_rounds", [4095, 4096, 4097, 2 * 4096 + 5])
+    def test_transcript_csv_rows_across_batches(self, n_rounds):
+        t = play_match(Biased(0.6), CoinFlip(), n_rounds, root_seed=4, stake=0.3, rake=0.07)
+        buf = io.StringIO()
+        write_transcript_csv(t, buf)
+        rows = [
+            f"{i + 1},{t.choices1[i]},{t.choices2[i]},{t.gains1[i]:.12g},{t.gains2[i]:.12g}"
+            for i in range(n_rounds)
+        ]
+        assert buf.getvalue() == "\n".join(["round,choice1,choice2,gain1,gain2", *rows, ""])
 
     def test_transcript_rejects_unbalanced(self):
         with pytest.raises(DomainError):

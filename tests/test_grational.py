@@ -265,13 +265,13 @@ class TestFirstViolationSearch:
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_log_wealth_passes_bounded_by_grid_bits(self, kind, monkeypatch):
         rows = []
-        path_losses = grational._path_losses
+        path_losses = grational.path_losses
 
         def counting(lw, *args):
             rows.append(lw.shape[0])
             return path_losses(lw, *args)
 
-        monkeypatch.setattr(grational, "_path_losses", counting)
+        monkeypatch.setattr(grational, "path_losses", counting)
         problem = GrationalProblem(BET, 300, kind, 0.3, 0.1)
         budget = McBudget(1000, 5)
         grid = solve(problem, budget).grid

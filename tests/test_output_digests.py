@@ -1,18 +1,26 @@
-"""Byte-identity guard for the CLI paths that call scipy's compiled kernels.
+"""Byte-identity guard for everything betlab prints.
 
-Each case runs the CLI in-process and compares the sha256 of its stdout
-with a digest recorded before those kernels were called through
-``scipy.special`` instead of ``scipy.stats``.  The stats record has more
-than 30 positioned periods, so the runs p-value takes the normal
-approximation and ``--ppgs-alpha`` runs the t-test; miller's normal mode
-prints full-precision ``ndtri`` quantiles in JSON.
+Each case runs a CLI subcommand or an experiment script in-process and
+compares the sha256 of its stdout with a digest recorded from the code
+before the output format moved into one module.  The cases cover every
+subcommand in text, json and csv, the NA cells (kelly without an edge,
+simulate with one path), and the three scripts at small sizes.
+
+The stats record has more than 30 positioned periods, so the runs p-value
+takes the normal approximation and ``--ppgs-alpha`` runs the t-test;
+miller's normal mode prints full-precision ``ndtri`` quantiles in JSON.
 """
 
 import hashlib
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from betlab.cli import SEED_ENV_VAR, run
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def trades_text(clustered: bool) -> str:
@@ -40,9 +48,31 @@ def trades_text(clustered: bool) -> str:
 
 
 MILLER = ["miller", "--sds", "0,0.5,3,10,25.75"]
+EMPIRICAL = ["miller", "--mode", "empirical", "--sds", "1,7.5", "--shares", "30",
+             "--buyers", "200", "--seed", "12"]
+KELLY = ["kelly", "--p", "0.6", "--d", "1.5"]
+KELLY_NO_EDGE = ["kelly", "--p", "0.4", "--d", "1"]
+KELLY_SURE = ["kelly", "--p", "1", "--d", "2"]
+SIMULATE = ["simulate", "--p", "0.55", "--d", "1.2", "--f", "0.15", "--steps", "25",
+            "--paths", "4", "--w0", "3", "--seed", "7"]
+SIMULATE_ONE = ["simulate", "--p", "0.6", "--d", "1", "--f", "0.3", "--steps", "12",
+                "--paths", "1"]
+GRATIONAL = ["grational", "--p", "0.6", "--d", "1", "--steps", "20", "--threshold", "0.4",
+             "--max-prob", "0.1", "--paths", "1000", "--grid-step", "0.05", "--seed", "3"]
+DRAWDOWN = ["grational", "--p", "0.55", "--d", "1.5", "--steps", "15", "--loss", "drawdown",
+            "--threshold", "0.3", "--max-prob", "0.2", "--paths", "1000", "--grid-step",
+            "0.1", "--f-max", "0.6"]
+PENNIES = ["pennies", "--p1", "biased:0.6", "--p2", "exploiter:k=2", "--rounds", "40",
+           "--seed", "9"]
+SPY = ["pennies", "--p1", "alternator", "--spy", "--rounds", "12", "--stake", "2.5"]
+RAKE = ["pennies", "--p1", "coinflip", "--p2", "fixed:T", "--rounds", "15", "--rake", "0.3",
+        "--stake", "0.7"]
+POPP = ["popp", "--state", "++,+,+,-,-,-,+,?,+"]
+POPP_MIXED = ["popp", "--state", "+,-,?,NA,+,-,+,?,-"]
 
-# name -> (argv, sha256 of stdout); "@drift" and "@clustered" stand for
-# the path of the trades record of that kind.
+# name -> (argv, sha256 of stdout).  "@drift" and "@clustered" stand for
+# the path of the trades record of that kind; an argv that starts with a
+# ".py" name runs that script from scripts/.
 CASES = {
     "stats-drift-json": (
         ["stats", "--input", "@drift", "--format", "json", "--ppgs-alpha", "0.05",
@@ -91,6 +121,180 @@ CASES = {
         [*MILLER, "--shares", "999", "--buyers", "1000"],
         "cfc2e749d9a768d0badc138e1dc3ee3d2606f4e04e4858f753d2ffb76088a2d1",
     ),
+    "miller-csv": (
+        [*MILLER, "--shares", "50", "--buyers", "1000", "--format", "csv"],
+        "509f4e8c06d1807b491a35862f7d071355c9fe162fa55ef512a050d1b7135895",
+    ),
+    "miller-empirical-text": (
+        EMPIRICAL,
+        "701fa5c68cff7aa8ae7f0bf08c5473cd74838a79047abdd0a9358f81ae601062",
+    ),
+    "miller-empirical-json": (
+        [*EMPIRICAL, "--format", "json"],
+        "71377fc15e97d2b97720c079e8809e1b170ec52ca93496b634c05f83a0a5c7d9",
+    ),
+    "miller-empirical-csv": (
+        [*EMPIRICAL, "--format", "csv"],
+        "a74b53430d46bfc5f71e3290ea55d539d4e92b8880bd87937eb9f4a7fcb1c104",
+    ),
+    "kelly-text": (KELLY, "f7037f6a1581266a33c1c7dbbd1114f20ce83c9a4f28066648584c77f1a304c8"),
+    "kelly-json": (
+        [*KELLY, "--format", "json"],
+        "480ccc033045ec2945438a329355cf3aa950495b56294ba990256f90b0e3ca47",
+    ),
+    "kelly-csv": (
+        [*KELLY, "--format", "csv"],
+        "95d82381405082f4ecb5c0710484142da8272cc0d5d65a16537daa0f9cb53e6b",
+    ),
+    "kelly-no-edge-text": (
+        KELLY_NO_EDGE,
+        "b0fbd90e91f47c7c5abe8288b10d394510c5df6a9d9749a8f8f48763824b2a8d",
+    ),
+    "kelly-no-edge-json": (
+        [*KELLY_NO_EDGE, "--format", "json"],
+        "2a1755daeb542172873d35c56f2570a196b26062dfb5ce029d4f509282695a09",
+    ),
+    "kelly-no-edge-csv": (
+        [*KELLY_NO_EDGE, "--format", "csv"],
+        "a2fe6b37a9f44bdf23a088300ef52b88570004390f0f5e3e7f832a332ae8b2f8",
+    ),
+    "kelly-sure-text": (
+        KELLY_SURE,
+        "8240aebc3ecda79efc4da04c9dcbc70903a24bb0fa74792b056c0ee3c818b584",
+    ),
+    "simulate-text": (
+        SIMULATE,
+        "d81e15131f0cd73a007dc694fa28d4354c07b1ba6694b89f07f1afe4d4a2faf4",
+    ),
+    "simulate-json": (
+        [*SIMULATE, "--format", "json"],
+        "823bb9e6fc275b2325ab492b938ac80591b8f5d0bad4e269e646623567c4dbc6",
+    ),
+    "simulate-csv": (
+        [*SIMULATE, "--format", "csv"],
+        "cbef5694de7c11361d92d33dd47cb78bc52d88330f2d3ce016e808adf193579a",
+    ),
+    "simulate-one-path-text": (
+        SIMULATE_ONE,
+        "ac75149cf53b3c3fc72c986099d71e095817b0490e6a20ec23d65f8fbeef3d14",
+    ),
+    "simulate-one-path-json": (
+        [*SIMULATE_ONE, "--format", "json"],
+        "4d30508345af940e8325b0ce91f10cc134c7ab4b2474b2058d058be59001d731",
+    ),
+    "simulate-one-path-csv": (
+        [*SIMULATE_ONE, "--format", "csv"],
+        "2b982ce6978f1be2e769b3548023d931bb765c147a13c4a5ab885974102ee581",
+    ),
+    "grational-text": (
+        GRATIONAL,
+        "58c81d5125f6e0d4b36e89806cf44826d60f369cd644dc370a752b4b9240945a",
+    ),
+    "grational-json": (
+        [*GRATIONAL, "--format", "json"],
+        "4a593f7732c299c7f8a1ab8af1a561cb5df00211e26e80df88f3fd6f48a9a108",
+    ),
+    "grational-csv": (
+        [*GRATIONAL, "--format", "csv"],
+        "7f7a7fe5c0f1b175c06861d85d744c54125edb372f8beba2f44e8f97258fa7f1",
+    ),
+    "grational-drawdown-text": (
+        DRAWDOWN,
+        "38f746b1a1a5f0d093537ccefa0dde901bde9c628590f051ee799402167a44db",
+    ),
+    "grational-drawdown-csv": (
+        [*DRAWDOWN, "--format", "csv"],
+        "19fd36783ea6d239e98d2a7f65b99069071c786fd05bea6a7da68fd9cb26d9d9",
+    ),
+    "stats-drift-csv": (
+        ["stats", "--input", "@drift", "--format", "csv"],
+        "ed870aa288f274572e67dffcc1db3638452a24b7634a014244cdd2e3ede4da6c",
+    ),
+    "stats-clustered-long-text": (
+        ["stats", "--input", "@clustered", "--filter", "long", "--years", "2"],
+        "cc1d703c95db5a27675bf0db06557bbae345d5381ea5ec59ab4397a978ea8596",
+    ),
+    "pennies-text": (
+        PENNIES,
+        "267d808e5465588df7cc07c86b95778259666492f384039712bbfc2d1a0ef2c6",
+    ),
+    "pennies-json": (
+        [*PENNIES, "--format", "json"],
+        "044e4b7aab2903d8aafe8301d8800f504774a3a6dbb49e26b4e4c748d723f66b",
+    ),
+    "pennies-csv": (
+        [*PENNIES, "--format", "csv"],
+        "477fe6e38d029aae4443f48be3cefebbf064e290e2bb0fc9d4d8aae0b9675b93",
+    ),
+    "pennies-spy-text": (
+        SPY,
+        "b3121b06ac6bb84fcd7330114efe8addf30ae427468b449016497e086b885558",
+    ),
+    "pennies-spy-json": (
+        [*SPY, "--format", "json"],
+        "bfb9f75bb29bb71d5b7c7fd3058685418ed7b773261a3d4d3056f8274c653a69",
+    ),
+    "pennies-spy-csv": (
+        [*SPY, "--format", "csv"],
+        "93d8623dcdd271e9916109f695749c003417331bf4df89198a0980f8f019cb19",
+    ),
+    "pennies-rake-text": (
+        RAKE,
+        "21f2c7f23fd8db4ec4361bdd4611b13d75a3d18f3f969e41ed6eb75e8bd33676",
+    ),
+    "pennies-rake-json": (
+        [*RAKE, "--format", "json"],
+        "aeb6152f159c365faf7916c146cd76a55c597b6706a8cf8c1242cfa9875cf597",
+    ),
+    "pennies-rake-csv": (
+        [*RAKE, "--format", "csv"],
+        "d251e69e4b14e1ff270149511d71815d9c5bae86d2dcaa769878076ac1cf3b95",
+    ),
+    "popp-text": (POPP, "4876ba93320c313dbdb62377d51ae468014362658e69c7791e03b29f12315b13"),
+    "popp-json": (
+        [*POPP, "--format", "json"],
+        "2fc83bc9dcde403d335fdfc6009e2860c0ca61cb65238423090430986a3cc381",
+    ),
+    "popp-csv": (
+        [*POPP, "--format", "csv"],
+        "c1ef3c8040249a9742a3333b430449313987005ccd6f5c74099b8a8403bd9574",
+    ),
+    "popp-mixed-text": (
+        POPP_MIXED,
+        "d4ce0096f2e13a2f9f683848ea3641996763ed9f735b38971c41830908c9de13",
+    ),
+    "popp-mixed-csv": (
+        [*POPP_MIXED, "--format", "csv"],
+        "5053650cd563ce0cb38b6b4034ba09329a3b35cc3aad9af4d0b86d2b3718e96f",
+    ),
+    "script-growth-frontier": (
+        ["growth_frontier.py", "--steps", "20", "--threshold", "0.4", "--paths", "1000",
+         "--grid-step", "0.05", "--caps", "0,0.05,0.3,1"],
+        "b3de22927c9fbd28335fd40471aaf363a7f6d179fd09f1313e27f37660bbf8b5",
+    ),
+    "script-growth-frontier-drawdown-seeded": (
+        ["growth_frontier.py", "--p", "0.55", "--d", "1.5", "--steps", "12",
+         "--loss", "drawdown", "--threshold", "0.25", "--paths", "1000", "--seed", "5",
+         "--caps", "0.02,0.5"],
+        "25d6585146bd0952c839629e2c968e144b05f4a5345c071010940161b8ec22c4",
+    ),
+    "script-overbetting-demo": (
+        ["overbetting_demo.py", "--steps", "60", "--paths", "3"],
+        "759d02ea95c6753be99c1b43fe031bf8649a08e55893ce170de6ed8ba758a295",
+    ),
+    "script-overbetting-demo-seeded": (
+        ["overbetting_demo.py", "--p", "0.7", "--d", "0.8", "--steps", "40", "--paths", "2",
+         "--seed", "11"],
+        "e89b6c0d6b76a1cdaf865778f8a83d5a925af34e5ffce2dbcd4702adbdca24e5",
+    ),
+    "script-pennies-tournament": (
+        ["pennies_tournament.py", "--rounds", "30"],
+        "4c8c7c04e72a1eaff76c9b91030f81ba9e474c4cb6528b3c93e8feb0d9e14feb",
+    ),
+    "script-pennies-tournament-seeded": (
+        ["pennies_tournament.py", "--rounds", "25", "--seed", "4"],
+        "c269b405b3a20b3a0b695877fd0f2f3e09908e816a2aabba5dca2e86fe1ac645",
+    ),
 }
 
 
@@ -105,10 +309,22 @@ def resolve(argv, tmp_path):
     return out
 
 
+def run_script(argv, monkeypatch) -> None:
+    """Run scripts/<argv[0]> as ``python3 scripts/<argv[0]> argv[1:]`` would."""
+    monkeypatch.setattr(sys, "argv", argv)
+    try:
+        runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code in (0, None), exc.code
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     argv, expected = CASES[name]
-    assert run(resolve(argv, tmp_path)) == 0
+    if argv[0].endswith(".py"):
+        run_script(argv, monkeypatch)
+    else:
+        assert run(resolve(argv, tmp_path)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected, out
