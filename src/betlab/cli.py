@@ -380,7 +380,13 @@ def run(
     """Parse ``argv`` with ``parser`` (the ``betlab`` parser by default),
     run the handler it selects and emit its output; return the exit code."""
     parser = parser or build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        for arg in argv:
+            # Python 3.11's argparse stores [] for --flag=-- without calling
+            # the flag's type; no flag here takes a lone "--" as its value.
+            if arg.startswith("--") and arg.endswith("=--"):
+                parser.error(f"argument {arg[:-3]}: expected one argument")
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)

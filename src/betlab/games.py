@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count
 from typing import IO
 
 import numpy as np
@@ -370,16 +369,14 @@ def parse_strategy(text: str) -> Strategy:
 def write_transcript_csv(transcript: GameTranscript, fh: IO[str]) -> None:
     """Emit rounds as CSV (round, choice1, choice2, gain1, gain2)."""
     t = transcript
-    writer = render.csv_writer(fh)
-    writer.writerow(["round", "choice1", "choice2", "gain1", "gain2"])
+    render.write_rows(fh, [["round", "choice1", "choice2", "gain1", "gain2"]])
     for start in range(0, t.n_rounds, _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        writer.writerows(
-            zip(
-                count(start + 1),
-                t.choices1[block].tolist(),
-                t.choices2[block].tolist(),
-                render.floats(t.gains1[block].tolist()),
-                render.floats(t.gains2[block].tolist()),
-            )
-        )
+        stop = min(start + _CSV_BLOCK, t.n_rounds)
+        block = slice(start, stop)
+        render.write_columns(fh, [
+            map(str, range(start + 1, stop + 1)),
+            t.choices1[block].tolist(),
+            t.choices2[block].tolist(),
+            render.floats(t.gains1[block].tolist()),
+            render.floats(t.gains2[block].tolist()),
+        ])

@@ -6,11 +6,15 @@ here; only JSON, which carries full precision, is not.
 A cell is ``NA`` for an undefined value, ``true``/``false`` for a flag, a
 float with 12 significant digits (round-half-even), and ``str`` of
 anything else.  CSV is ``csv.writer``'s default dialect with ``\\n`` line ends.
+The long tables (wealth paths, match transcripts) hold only numbers and
+letters, which that dialect never quotes, so ``write_columns`` joins
+their cells into the same bytes without a writer.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 _FLOAT = "{:.12g}".format
@@ -38,3 +42,17 @@ def csv_writer(fh: IO[str]):
 
 def write_rows(fh: IO[str], rows: Iterable[Sequence[object]]) -> None:
     csv_writer(fh).writerows(map(cell, row) for row in rows)
+
+
+def write_columns(fh: IO[str], columns: Sequence[Iterable[str]]) -> None:
+    """Write equal-length columns of finished cells as CSV rows, in one string.
+
+    The cells must need no quoting: no ``,``, ``"`` or line break, and no
+    empty cell alone on its row.
+    """
+    comma, newline = repeat(","), repeat("\n")
+    parts: list[Iterable[str]] = []
+    for column in columns:
+        parts += (column, comma)
+    parts[-1] = newline
+    fh.write("".join(chain.from_iterable(zip(*parts))))

@@ -1,8 +1,10 @@
 """Per-period trading-system P&L analytics.
 
-A trade series is an ordered list of periods, each Long, Short, or Flat,
-carrying an additive P&L in any unit (ticks, dollars); the statistics
-are unit-agnostic.  ``summarize`` reproduces the classic summary-table
+A trade series is an ordered record of periods, each Long, Short, or
+Flat, carrying an additive P&L in any unit (ticks, dollars); the
+statistics are unit-agnostic.  It is held as three columns (period ids,
+side letters, P&L), and the statistics are numpy reductions over masks
+and slices of them.  ``summarize`` reproduces the classic summary-table
 columns:
 
     np npi maxdd pnlpp ir pnltot sdpnl winpct runs runspvu
@@ -34,7 +36,8 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from operator import itemgetter
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,18 +49,13 @@ from .wealthsim import LossKind, path_losses
 # with continuity correction beyond it.
 _EXACT_RUNS_MAX_N = 30
 
-_SIDE_LETTERS = {"L": "LONG", "S": "SHORT", "F": "FLAT"}
+# Side letters: long, short, flat.
+_SIDES = ("L", "S", "F")
 
 SUMMARY_COLUMNS = (
     "np", "npi", "maxdd", "pnlpp", "ir",
     "pnltot", "sdpnl", "winpct", "runs", "runspvu",
 )
-
-
-class Side(Enum):
-    LONG = "L"
-    SHORT = "S"
-    FLAT = "F"
 
 
 class Filter(Enum):
@@ -75,32 +73,45 @@ class Ppgs(Enum):
 
 
 @dataclass(frozen=True)
-class TradeRecord:
-    period_id: int
-    side: Side
-    pnl: float
-
-
-@dataclass(frozen=True)
 class TradeSeries:
-    """Ordered per-period records with finite P&L; Flat periods carry zero."""
+    """Ordered periods as three read-only columns of one length.
 
-    records: tuple[TradeRecord, ...]
+    ``period_id`` holds Python ints of any size (object dtype), strictly
+    increasing; ``side`` holds the letters L, S and F; ``pnl`` holds
+    finite float64 values, zero on Flat periods.  Each column is copied
+    from any sequence.  A side must already be one of the letters: an
+    enum member is rejected, never converted through ``str``.
+    """
+
+    period_id: np.ndarray
+    side: np.ndarray
+    pnl: np.ndarray
 
     def __post_init__(self) -> None:
-        records = tuple(self.records)
-        ids = [r.period_id for r in records]
-        if any(b <= a for a, b in zip(ids, ids[1:])):
+        ids = np.array(self.period_id, dtype=object)
+        side = np.array(self.side)
+        pnl = np.array(self.pnl, dtype=float)
+        if not (ids.ndim == side.ndim == pnl.ndim == 1 and ids.size == side.size == pnl.size):
+            raise DomainError("period_id, side and pnl must be 1-d columns of one length")
+        if side.size and not (side.dtype.kind == "U" and np.isin(side, _SIDES).all()):
+            raise DomainError("sides must be one of L,S,F")
+        side = side.astype("U1")
+        if np.any(ids[1:] <= ids[:-1]):
             raise DomainError("period_ids must be strictly increasing")
-        for r in records:
-            if not math.isfinite(r.pnl):
-                raise DomainError(f"period {r.period_id}: pnl must be finite, got {r.pnl}")
-            if r.side is Side.FLAT and r.pnl != 0.0:
-                raise DomainError(f"flat period {r.period_id} carries pnl {r.pnl}")
-        object.__setattr__(self, "records", records)
+        bad = ~np.isfinite(pnl) | ((side == "F") & (pnl != 0.0))
+        if bad.any():
+            k = int(bad.argmax())
+            period, value = ids[k], float(pnl[k])
+            if not math.isfinite(value):
+                raise DomainError(f"period {period}: pnl must be finite, got {value}")
+            raise DomainError(f"flat period {period} carries pnl {value}")
+        columns = {"period_id": ids, "side": side, "pnl": pnl}
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.pnl.size
 
 
 @dataclass(frozen=True)
@@ -124,11 +135,12 @@ class RunsResult:
     degenerate: bool
 
 
-def _universe(series: TradeSeries, which: Filter) -> list[TradeRecord]:
+def _universe(series: TradeSeries, which: Filter) -> tuple[np.ndarray, np.ndarray]:
+    """Sides and P&L of the periods that ``which`` keeps, in order."""
     if which is Filter.ALL:
-        return list(series.records)
-    side = Side.LONG if which is Filter.LONG else Side.SHORT
-    return [r for r in series.records if r.side is side]
+        return series.side, series.pnl
+    keep = series.side == ("L" if which is Filter.LONG else "S")
+    return series.side[keep], series.pnl[keep]
 
 
 def runs_test(outcomes: Sequence[bool]) -> RunsResult:
@@ -138,12 +150,12 @@ def runs_test(outcomes: Sequence[bool]) -> RunsResult:
     approximation with continuity correction above.  A sequence with
     only one outcome value present is degenerate: one run, p-value 1.
     """
-    flags = [bool(x) for x in outcomes]
-    if not flags:
+    flags = np.asarray(outcomes, dtype=bool)
+    if flags.ndim != 1 or not flags.size:
         raise DomainError("runs test needs a nonempty sequence")
-    runs = 1 + sum(a != b for a, b in zip(flags, flags[1:]))
-    n1 = sum(flags)
-    n2 = len(flags) - n1
+    runs = 1 + int(np.count_nonzero(flags[1:] != flags[:-1]))
+    n1 = int(np.count_nonzero(flags))
+    n2 = flags.size - n1
     if n1 == 0 or n2 == 0:
         return RunsResult(runs=runs, p_value_too_few=1.0, degenerate=True)
     n = n1 + n2
@@ -180,33 +192,32 @@ def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
 
 def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     """Summary-table row for one filter; see module docstring for semantics."""
-    universe = _universe(series, which)
-    if not universe:
+    side, universe = _universe(series, which)
+    if not universe.size:
         raise EmptySelection(f"no periods match filter {which.value!r}")
-    in_market = [r for r in universe if r.side is not Side.FLAT]
-    if not in_market:
+    pnl = universe[side != "F"]
+    if not pnl.size:
         raise EmptySelection(f"no positioned periods under filter {which.value!r}")
-    pnl = np.asarray([r.pnl for r in in_market], dtype=float)
     npi = pnl.size
     pnlpp, sdpnl = _mean_sd(pnl)
     ir = pnlpp / sdpnl if sdpnl and not math.isnan(sdpnl) else math.nan
 
     # Drawdown over the universe's cumulative curve, peak seeded at 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        cum = np.concatenate(([0.0], np.cumsum([r.pnl for r in universe])))
+        cum = np.concatenate(([0.0], np.cumsum(universe)))
         maxdd = float(path_losses(cum, LossKind.DRAWDOWN))
     if not math.isfinite(maxdd):
         raise DomainError("cumulative P&L overflows double precision")
 
-    signs = [r.pnl > 0 for r in in_market if r.pnl != 0.0]
-    if signs:
-        rt = runs_test(signs)
+    nonzero = pnl[pnl != 0.0]
+    if nonzero.size:
+        rt = runs_test(nonzero > 0)
         runs, runspvu = rt.runs, rt.p_value_too_few
     else:
         runs, runspvu = 1, 1.0  # all-flat P&L: one degenerate run
 
     return SummaryRow(
-        np=len(universe),
+        np=universe.size,
         npi=npi,
         maxdd=maxdd,
         pnlpp=pnlpp,
@@ -217,18 +228,6 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
         runs=runs,
         runspvu=runspvu,
     )
-
-
-def cumulative_pnl(series: TradeSeries) -> list[tuple[int, float]]:
-    """Running P&L sum over all periods: [(period_id, cum_pnl), ...]."""
-    if not series.records:
-        raise DomainError("series is empty")
-    out = []
-    total = 0.0
-    for r in series.records:
-        total += r.pnl
-        out.append((r.period_id, total))
-    return out
 
 
 def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
@@ -266,9 +265,7 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    pnl = np.asarray(
-        [r.pnl for r in series.records if r.side is not Side.FLAT], dtype=float
-    )
+    pnl = series.pnl[series.side != "F"]
     if pnl.size < 30:
         return Ppgs.INDETERMINATE
     mean, sd = _mean_sd(pnl)
@@ -286,27 +283,67 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     return Ppgs.INDETERMINATE
 
 
+def _leading(convert: Callable[[str], object], cells: Iterable[str]) -> list:
+    """``convert`` of each cell, up to the first one it rejects.
+
+    ``list.extend`` keeps what it appended before an exception, so the
+    length of the result is the index of the first bad cell.
+    """
+    out: list = []
+    try:
+        out.extend(map(convert, cells))
+    except (TypeError, ValueError):
+        pass
+    return out
+
+
+def _row_error(line: int, row: list[str]) -> str:
+    """The message for a bad data row: its first failed check of side,
+    period_id and pnl.  A short row's missing cells read as None."""
+    period_id, side, pnl = (row + [None, None])[:3]
+    if (side or "").strip().upper() not in _SIDES:
+        return f"line {line}: side must be one of L,S,F, got {side!r}"
+    try:
+        int(period_id)
+        float(pnl)
+    except (TypeError, ValueError) as exc:  # TypeError: a short row
+        return f"line {line}: {exc}"
+    return f"line {line}: pnl must be finite, got {pnl!r}"
+
+
 def read_trades_csv(fh: IO[str]) -> TradeSeries:
-    """Parse the trades schema: header period_id,side,pnl; side in {L,S,F}."""
-    reader = csv.DictReader(fh)
+    """Parse the trades schema: header period_id,side,pnl; side in {L,S,F}.
+
+    Sides may be lower case and padded, cells after the third are
+    ignored, and blank lines are skipped.  Each column is converted in
+    one pass; the error names the first bad row by its line number,
+    blank lines not counted.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
     expected = ["period_id", "side", "pnl"]
-    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-        raise DomainError(f"expected header {','.join(expected)}, got {reader.fieldnames}")
-    records = []
-    for i, row in enumerate(reader, start=2):
-        letter = (row["side"] or "").strip().upper()
-        if letter not in _SIDE_LETTERS:
-            raise DomainError(f"line {i}: side must be one of L,S,F, got {row['side']!r}")
-        try:
-            period_id, pnl = int(row["period_id"]), float(row["pnl"])
-        except (TypeError, ValueError) as exc:  # TypeError: a short row
-            raise DomainError(f"line {i}: {exc}") from exc
-        if not math.isfinite(pnl):
-            raise DomainError(f"line {i}: pnl must be finite, got {row['pnl']!r}")
-        records.append(TradeRecord(period_id=period_id, side=Side(letter), pnl=pnl))
-    if not records:
+    if header is None or [c.strip() for c in header] != expected:
+        raise DomainError(f"expected header {','.join(expected)}, got {header}")
+    rows = list(filter(None, reader))  # a blank line reads as []
+    n = len(rows)
+    short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=n) < 3)
+    full = rows[: short[0]] if short.size else rows  # the rows before the first short one
+    sides = list(map(str.upper, map(str.strip, map(itemgetter(1), full))))
+    period_id = _leading(int, map(itemgetter(0), full))
+    pnl = np.array(_leading(float, map(itemgetter(2), full)), dtype=float)
+
+    # The first bad row is the least of each check's first failing index.
+    bad_side = n if set(sides).issubset(_SIDES) else next(
+        k for k, letter in enumerate(sides) if letter not in _SIDES
+    )
+    finite = np.isfinite(pnl)
+    bad_pnl = pnl.size if finite.all() else int(finite.argmin())
+    first_bad = min(len(full), bad_side, len(period_id), bad_pnl)
+    if first_bad < n:
+        raise DomainError(_row_error(first_bad + 2, rows[first_bad]))
+    if not n:
         raise DomainError("no data rows in trades CSV")
-    return TradeSeries(records=tuple(records))
+    return TradeSeries(period_id=period_id, side=sides, pnl=pnl)
 
 
 def display_fields(row: SummaryRow) -> dict[str, float | int | None]:

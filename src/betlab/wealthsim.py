@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, repeat
+from itertools import chain, repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -39,6 +39,9 @@ from .seeding import stream
 # A path is flagged ruined once wealth falls below this multiple of the
 # starting capital; the discrete model never reaches exactly zero for f < 1.
 DEFAULT_RUIN_FLOOR = 1e-9
+
+# CSV cells of a loss and a win.
+_OUTCOME_CELLS = ("0", "1")
 
 # Cap on adaptive betting fractions, keeping log(1-f) finite when the
 # running win-rate estimate hits 1 (e.g. an all-win prefix).
@@ -223,10 +226,16 @@ def write_paths_csv(paths: Sequence[WealthPath], fh: IO[str]) -> None:
     """Emit paths as CSV rows (path_id, step, log_wealth, outcome).
 
     Step 0 has no outcome; its cell is left empty.  Outcomes are 1/0.
+    Each path's rows are joined and written at once, so memory holds the
+    text of one path, not of the table.
     """
-    writer = render.csv_writer(fh)
-    writer.writerow(["path_id", "step", "log_wealth", "outcome"])
+    render.write_rows(fh, [["path_id", "step", "log_wealth", "outcome"]])
+    steps = list(map(str, range(max((p.log_wealth.size for p in paths), default=0))))
     for k, path in enumerate(paths):
-        lw = render.floats(path.log_wealth.tolist())
-        writer.writerow([k, 0, next(lw), ""])
-        writer.writerows(zip(repeat(k), count(1), lw, path.outcomes.astype(np.int8).tolist()))
+        size = path.log_wealth.size
+        render.write_columns(fh, [
+            repeat(str(k), size),
+            steps[:size],
+            render.floats(path.log_wealth.tolist()),
+            chain(("",), map(_OUTCOME_CELLS.__getitem__, path.outcomes.tolist())),
+        ])

@@ -274,12 +274,8 @@ def test_criterion_07_summary():
         (5, "L", -4.0), (6, "S", 5.0), (7, "F", 0.0), (8, "L", 0.0),
         (9, "S", -2.0), (10, "L", 6.0),
     ]
-    series = sysstats.TradeSeries(
-        records=tuple(
-            sysstats.TradeRecord(period_id=i, side=sysstats.Side(s), pnl=x)
-            for i, s, x in trades
-        )
-    )
+    ids, sides, pnls = zip(*trades)
+    series = sysstats.TradeSeries(period_id=ids, side=sides, pnl=pnls)
     for which in ("long", "short", "all"):
         row = sysstats.summarize(series, sysstats.Filter(which))
         expected = _oracle_summary(trades, which)
@@ -299,10 +295,7 @@ def test_criterion_07_summary():
                 assert fields[key] == pytest.approx(expected[key], abs=1e-12)
 
     # a season's profit spread over 19 years, to three significant digits
-    one = sysstats.TradeSeries(
-        records=(sysstats.TradeRecord(period_id=1, side=sysstats.Side.LONG,
-                                      pnl=623.50),)
-    )
+    one = sysstats.TradeSeries(period_id=[1], side=["L"], pnl=[623.50])
     avg = sysstats.average_gain_per_year(
         sysstats.summarize(one, sysstats.Filter.ALL), 19.0
     )

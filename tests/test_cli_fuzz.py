@@ -116,6 +116,7 @@ def seed_flag(seed: int | None) -> list[str]:
 @given(fmt=FORMATS, p=numbers(0.0, 1.0), d=numbers(0.0, 10.0))
 @example(fmt="json", p="0.6", d="inf")
 @example(fmt="text", p="0.6", d="inf")
+@example(fmt="text", p="--", d="1")  # argparse turns --p=-- into []
 @SETTINGS
 def test_kelly(fmt, p, d):
     check(["kelly", f"--format={fmt}", f"--p={p}", f"--d={d}"])
@@ -131,6 +132,7 @@ def test_kelly(fmt, p, d):
     w0=st.none() | numbers(0.0, 10.0),
     seed=SEEDS,
 )
+@example(fmt="csv", p="0.6", d="1", f="--", steps=3, paths=2, w0=None, seed=None)
 @SETTINGS
 def test_simulate(fmt, p, d, f, steps, paths, w0, seed):
     argv = ["simulate", f"--format={fmt}", f"--p={p}", f"--d={d}", f"--f={f}",
@@ -203,3 +205,24 @@ def test_stats(trades_dir, fmt, pnls, years, alpha, which):
     argv += [] if years is None else [f"--years={years}"]
     argv += [] if alpha is None else [f"--ppgs-alpha={alpha}"]
     check(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kelly", "--p=--", "--d", "1"],
+        ["simulate", "--p", "0.6", "--d", "1", "--f=--", "--steps", "3", "--paths", "2"],
+        ["grational", "--p", "0.6", "--d", "1", "--steps=--", "--threshold", "0.5",
+         "--max-prob", "0.1"],
+        ["pennies", "--p1", "coinflip", "--p2=--", "--rounds", "4"],
+        ["miller", "--sds=--", "--shares", "1", "--buyers", "2"],
+        ["popp", "--state=--"],
+        ["stats", "--input=--"],
+        ["kelly", "--p", "0.6", "--d", "1", "--seed=--"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_double_dash_value_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:") and "expected one argument" in err

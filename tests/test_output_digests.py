@@ -9,6 +9,11 @@ simulate with one path), and the three scripts at small sizes.
 The stats record has more than 30 positioned periods, so the runs p-value
 takes the normal approximation and ``--ppgs-alpha`` runs the t-test;
 miller's normal mode prints full-precision ``ndtri`` quantiles in JSON.
+A third record is written the way a hand-kept file might be: lower-case
+and space-padded sides, blank lines, a trailing note column and quoted
+P&L cells.  ``MALFORMED`` holds the exact message and exit code for each
+kind of bad trades file, including which line is reported when several
+are bad.
 """
 
 import hashlib
@@ -47,6 +52,33 @@ def trades_text(clustered: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def messy_trades_text() -> str:
+    """70 periods in the loose spellings the trades reader accepts."""
+    sides = ["l", " L", "s ", " s ", "f", "F ", "L", "S"]
+    lines = ["period_id,side,pnl", ""]
+    for i in range(1, 71):
+        side = sides[(i * 5) % 8]
+        pnl = "0" if side.strip() in "fF" else repr(((i * 53) % 89 - 41) / 8.0)
+        if i % 3 == 0:
+            pnl = f'"{pnl}"'
+        elif i % 4 == 0:
+            pnl = f" {pnl} "
+        row = f" {i}," if i % 6 == 0 else f"{i},"
+        row += f"{side},{pnl}"
+        if i % 5 == 0:
+            row += ',"note, with a comma"'
+        lines.append(row)
+        if i % 7 == 0:
+            lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+TRADES = {
+    "drift": trades_text(clustered=False),
+    "clustered": trades_text(clustered=True),
+    "messy": messy_trades_text(),
+}
+
 MILLER = ["miller", "--sds", "0,0.5,3,10,25.75"]
 EMPIRICAL = ["miller", "--mode", "empirical", "--sds", "1,7.5", "--shares", "30",
              "--buyers", "200", "--seed", "12"]
@@ -70,8 +102,8 @@ RAKE = ["pennies", "--p1", "coinflip", "--p2", "fixed:T", "--rounds", "15", "--r
 POPP = ["popp", "--state", "++,+,+,-,-,-,+,?,+"]
 POPP_MIXED = ["popp", "--state", "+,-,?,NA,+,-,+,?,-"]
 
-# name -> (argv, sha256 of stdout).  "@drift" and "@clustered" stand for
-# the path of the trades record of that kind; an argv that starts with a
+# name -> (argv, sha256 of stdout).  "@drift", "@clustered" and "@messy"
+# stand for the path of that trades record in TRADES; an argv that starts with a
 # ".py" name runs that script from scripts/.
 CASES = {
     "stats-drift-json": (
@@ -99,6 +131,19 @@ CASES = {
     "stats-clustered-short-csv": (
         ["stats", "--input", "@clustered", "--filter", "short", "--format", "csv"],
         "7e3829b7896c4d001402eaeb30e24abb00a796e854bdf7f7089f8aa74bddb257",
+    ),
+    "stats-messy-json": (
+        ["stats", "--input", "@messy", "--format", "json", "--ppgs-alpha", "0.05",
+         "--years", "2"],
+        "4685e397090a0cfadd0d8d3ca2ef30dea7771a98a0c51e62158e03c31fa294a9",
+    ),
+    "stats-messy-short-text": (
+        ["stats", "--input", "@messy", "--filter", "short"],
+        "bfa32ad27a691ab82e3b753bf6fd891e1acad83b61abe36fb34ccb1b29430cde",
+    ),
+    "stats-messy-long-csv": (
+        ["stats", "--input", "@messy", "--filter", "long", "--format", "csv"],
+        "344d80efcc049dd3c5d48a4cdd661ffa9d2953595fbebe2334f7d84248cd0b31",
     ),
     "miller-scarce-json": (
         [*MILLER, "--shares", "50", "--buyers", "1000", "--format", "json"],
@@ -303,7 +348,7 @@ def resolve(argv, tmp_path):
     for arg in argv:
         if arg.startswith("@"):
             path = tmp_path / f"{arg[1:]}.csv"
-            path.write_text(trades_text(clustered=arg == "@clustered"))
+            path.write_text(TRADES[arg[1:]])
             arg = str(path)
         out.append(arg)
     return out
@@ -328,3 +373,70 @@ def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
         assert run(resolve(argv, tmp_path)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected, out
+
+
+HEADER = "period_id,side,pnl\n"
+FLOAT_NONE = "float() argument must be a string or a real number, not 'NoneType'"
+
+# name -> (trades file, exit code, stderr of ``betlab stats``).
+MALFORMED = {
+    "bad-side": (HEADER + "1,L,1\n2,X,1\n", 1,
+                 "error: line 3: side must be one of L,S,F, got 'X'\n"),
+    "empty-side": (HEADER + "1,,1\n", 1,
+                   "error: line 2: side must be one of L,S,F, got ''\n"),
+    "one-cell-row": (HEADER + "1,L,1\n2\n", 1,
+                     "error: line 3: side must be one of L,S,F, got None\n"),
+    "short-row": (HEADER + "1,L,1\n2,S\n", 1, f"error: line 3: {FLOAT_NONE}\n"),
+    "bad-id": (HEADER + "1,L,1\n2.5,S,1\n", 1,
+               "error: line 3: invalid literal for int() with base 10: '2.5'\n"),
+    "bad-pnl": (HEADER + "1,L,1\n2,S,1,5\n3,S,x\n", 1,
+                "error: line 4: could not convert string to float: 'x'\n"),
+    "nan-pnl": (HEADER + "1,L,nan\n", 1, "error: line 2: pnl must be finite, got 'nan'\n"),
+    "inf-pnl": (HEADER + "1,L,1\n2,S,-inf\n", 1,
+                "error: line 3: pnl must be finite, got '-inf'\n"),
+    "overflow-pnl": (HEADER + "1,L,1e999\n", 1,
+                     "error: line 2: pnl must be finite, got '1e999'\n"),
+    "repeated-id": (HEADER + "1,L,1\n2,S,1\n2,L,1\n", 1,
+                    "error: period_ids must be strictly increasing\n"),
+    "flat-nonzero": (HEADER + "1,L,1\n2,F,0.5\n", 1,
+                     "error: flat period 2 carries pnl 0.5\n"),
+    "bad-header": ("id,side,pnl\n1,L,1\n", 1,
+                   "error: expected header period_id,side,pnl, got ['id', 'side', 'pnl']\n"),
+    "header-extra-column": (
+        "period_id,side,pnl,note\n1,L,1,x\n", 1,
+        "error: expected header period_id,side,pnl, got ['period_id', 'side', 'pnl', 'note']\n",
+    ),
+    "header-only": (HEADER, 1, "error: no data rows in trades CSV\n"),
+    "header-and-blank-lines": (HEADER + "\n\n", 1, "error: no data rows in trades CSV\n"),
+    "empty-file": ("", 1, "error: expected header period_id,side,pnl, got None\n"),
+    "blank-first-line": ("\n" + HEADER + "1,L,1\n", 1,
+                         "error: expected header period_id,side,pnl, got []\n"),
+    "blank-lines-do-not-count": (HEADER + "\n1,L,1\n\n\n2,Q,1\n", 1,
+                                 "error: line 3: side must be one of L,S,F, got 'Q'\n"),
+    "side-before-id": (HEADER + "1,L,1\nx,Q,y\n", 1,
+                       "error: line 3: side must be one of L,S,F, got 'Q'\n"),
+    "id-before-pnl": (HEADER + "1,L,1\nx,S,y\n", 1,
+                      "error: line 3: invalid literal for int() with base 10: 'x'\n"),
+    "first-bad-line-wins": (HEADER + "1,L,1\n2,S,nan\n3,Q,1\nx,L,1\n", 1,
+                            "error: line 3: pnl must be finite, got 'nan'\n"),
+    "short-row-after-bad-pnl": (HEADER + "1,L,1\n2,S,zz\n3\n", 1,
+                                "error: line 3: could not convert string to float: 'zz'\n"),
+    "bad-pnl-after-short-row": (HEADER + "1,L,1\n2,S\n3,L,zz\n", 1,
+                                f"error: line 3: {FLOAT_NONE}\n"),
+    "line-error-before-order": (HEADER + "5,L,1\n4,S,1\n6,L,inf\n", 1,
+                                "error: line 4: pnl must be finite, got 'inf'\n"),
+    "order-before-flat": (HEADER + "1,F,2\n3,L,1\n2,S,1\n", 1,
+                          "error: period_ids must be strictly increasing\n"),
+    "first-flat-named": (HEADER + "1,L,1\n2,F,-0.25\n3,F,7\n", 1,
+                         "error: flat period 2 carries pnl -0.25\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_trades_message(name, tmp_path, capsys):
+    text, code, message = MALFORMED[name]
+    path = tmp_path / "trades.csv"
+    path.write_text(text)
+    assert run(["stats", "--input", str(path)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)

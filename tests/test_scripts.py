@@ -45,6 +45,10 @@ BAD = [
     ("growth_frontier.py", ["--caps", "2"], 1),
     ("growth_frontier.py", ["--caps", ","], 1),
     ("pennies_tournament.py", ["--rounds", "0"], 1),
+    # argparse stores [] for --flag=-- without calling the flag's type
+    ("overbetting_demo.py", ["--p=--"], 2),
+    ("growth_frontier.py", ["--threshold=--"], 2),
+    ("pennies_tournament.py", ["--rounds=--"], 2),
 ]
 
 

@@ -1,23 +1,23 @@
+import csv
 import io
 import math
 import warnings
+from enum import Enum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betlab import render
 from betlab.errors import DomainError, EmptySelection
 from betlab.sysstats import (
     _ttest_pvalue,
     Filter,
     Ppgs,
-    Side,
     SummaryRow,
-    TradeRecord,
     TradeSeries,
     average_gain_per_year,
-    cumulative_pnl,
     display_fields,
     format_summary_text,
     ppgs_classify,
@@ -28,11 +28,11 @@ from betlab.sysstats import (
 
 
 def series_of(*entries) -> TradeSeries:
+    """Periods 1, 2, ... with the given (side letter, pnl) pairs."""
     return TradeSeries(
-        records=tuple(
-            TradeRecord(period_id=i + 1, side=Side(side), pnl=float(pnl))
-            for i, (side, pnl) in enumerate(entries)
-        )
+        period_id=list(range(1, len(entries) + 1)),
+        side=[side for side, _ in entries],
+        pnl=[float(pnl) for _, pnl in entries],
     )
 
 
@@ -55,19 +55,48 @@ def exact_runs_left_tail(n1: int, n2: int, r_obs: int) -> float:
     return acc / math.comb(n1 + n2, n1)
 
 
+class Side(Enum):
+    """Side letters as enum members.  ``str(Side.LONG)`` is "Side.LONG",
+    which a cast to one character would cut to the valid letter "S"."""
+
+    LONG = "L"
+    SHORT = "S"
+
+
 class TestTradeSeries:
     def test_ids_strictly_increasing(self):
         with pytest.raises(DomainError):
-            TradeSeries(
-                records=(
-                    TradeRecord(2, Side.LONG, 1.0),
-                    TradeRecord(2, Side.LONG, 1.0),
-                )
-            )
+            TradeSeries(period_id=[2, 2], side=["L", "L"], pnl=[1.0, 1.0])
 
     def test_flat_must_be_zero(self):
         with pytest.raises(DomainError):
-            TradeSeries(records=(TradeRecord(1, Side.FLAT, 0.5),))
+            TradeSeries(period_id=[1], side=["F"], pnl=[0.5])
+
+    @pytest.mark.parametrize(
+        "sides",
+        [["L", "X"], ["L", "l"], ["L", ""], ["LS", "L"], ["L", 1],
+         ["L", Side.SHORT], [Side.LONG, Side.LONG]],
+    )
+    def test_side_must_be_a_letter(self, sides):
+        with pytest.raises(DomainError, match="sides must be one of L,S,F"):
+            TradeSeries(period_id=[1, 2], side=sides, pnl=[1.0, -1.0])
+
+    def test_ids_of_any_size(self):
+        ids = [2**70, 2**70 + 1]
+        series = TradeSeries(period_id=ids, side=["L", "S"], pnl=[1.0, -1.0])
+        assert series.period_id.tolist() == ids
+
+    def test_columns_are_read_only_copies(self):
+        pnl = np.array([1.0, -1.0])
+        series = TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=pnl)
+        pnl[0] = 5.0
+        assert series.pnl[0] == 1.0
+        with pytest.raises(ValueError):
+            series.pnl[0] = 5.0
+
+    def test_columns_must_match(self):
+        with pytest.raises(DomainError, match="columns"):
+            TradeSeries(period_id=[1, 2], side=["L"], pnl=[1.0, 2.0])
 
 
 class TestRunsTest:
@@ -215,26 +244,11 @@ class TestSummarize:
     def test_ir_invariant_under_positive_rescale(self, scale):
         base = summarize(FIXTURE, Filter.ALL)
         scaled = summarize(
-            series_of(
-                *[
-                    (r.side.value, r.pnl * scale)
-                    for r in FIXTURE.records
-                ]
-            ),
+            series_of(*zip(FIXTURE.side.tolist(), (FIXTURE.pnl * scale).tolist())),
             Filter.ALL,
         )
         assert scaled.ir == pytest.approx(base.ir, rel=1e-9)
         assert scaled.pnltot == pytest.approx(base.pnltot * scale, rel=1e-9)
-
-
-class TestCumulativePnl:
-    def test_running_sum(self):
-        series = series_of(("L", 1.0), ("S", -2.0), ("L", 3.0))
-        assert cumulative_pnl(series) == [(1, 1.0), (2, -1.0), (3, 2.0)]
-
-    def test_all_zeros(self):
-        series = series_of(("F", 0.0), ("F", 0.0))
-        assert cumulative_pnl(series) == [(1, 0.0), (2, 0.0)]
 
 
 class TestAveragePerYear:
@@ -324,8 +338,8 @@ class TestCsvAndFormatting:
         text = "period_id,side,pnl\n1,L,3.5\n2,S,-1.25\n3,F,0\n"
         series = read_trades_csv(io.StringIO(text))
         assert len(series) == 3
-        assert series.records[1].side is Side.SHORT
-        assert series.records[1].pnl == -1.25
+        assert series.side[1] == "S"
+        assert series.pnl[1] == -1.25
 
     def test_bad_header(self):
         with pytest.raises(DomainError):
@@ -334,6 +348,10 @@ class TestCsvAndFormatting:
     def test_bad_side(self):
         with pytest.raises(DomainError, match="side"):
             read_trades_csv(io.StringIO("period_id,side,pnl\n1,X,1\n"))
+
+    def test_padded_header(self):
+        series = read_trades_csv(io.StringIO("period_id, side , pnl\n1,L,3.5\n"))
+        assert (series.side.tolist(), series.pnl.tolist()) == (["L"], [3.5])
 
     def test_text_table_column_order_and_sign(self):
         text = format_summary_text([("All", summarize(FIXTURE, Filter.ALL))])
@@ -356,3 +374,121 @@ class TestCsvAndFormatting:
     def test_display_fields_negates_maxdd(self):
         row = summarize(FIXTURE, Filter.ALL)
         assert display_fields(row)["maxdd"] == -row.maxdd
+
+
+def oracle_read_trades_csv(fh) -> tuple[list[int], list[str], list[float]]:
+    """The trades reader row by row, with the checks of TradeSeries inlined:
+    the reference for the columnar reader's columns and messages."""
+    reader = csv.DictReader(fh)
+    expected = ["period_id", "side", "pnl"]
+    if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
+        raise DomainError(f"expected header {','.join(expected)}, got {reader.fieldnames}")
+    records = []
+    for i, row in enumerate(reader, start=2):
+        letter = (row["side"] or "").strip().upper()
+        if letter not in ("L", "S", "F"):
+            raise DomainError(f"line {i}: side must be one of L,S,F, got {row['side']!r}")
+        try:
+            period_id, pnl = int(row["period_id"]), float(row["pnl"])
+        except (TypeError, ValueError) as exc:  # TypeError: a short row
+            raise DomainError(f"line {i}: {exc}") from exc
+        if not math.isfinite(pnl):
+            raise DomainError(f"line {i}: pnl must be finite, got {row['pnl']!r}")
+        records.append((period_id, letter, pnl))
+    if not records:
+        raise DomainError("no data rows in trades CSV")
+    ids = [r[0] for r in records]
+    if any(b <= a for a, b in zip(ids, ids[1:])):
+        raise DomainError("period_ids must be strictly increasing")
+    for period_id, letter, pnl in records:
+        if letter == "F" and pnl != 0.0:
+            raise DomainError(f"flat period {period_id} carries pnl {pnl}")
+    return ids, [r[1] for r in records], [r[2] for r in records]
+
+
+HEADERS = st.sampled_from(
+    ["period_id,side,pnl"] * 20
+    + ["id,side,pnl", "period_id,side,pnl,note", "period_id,side", "\nperiod_id,side,pnl", ""]
+)
+ID_CELLS = st.sampled_from(["{i}", " {i} ", '"{i}"'])
+SIDE_CELLS = st.sampled_from(["L", "S", "F", "l", " s ", "f ", '"L"', "\u017f"])
+FLAT_PNL_CELLS = st.sampled_from(["0", "0.0", "-0.0", " 0 ", '"0"'])
+PNL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(['"1.25"', " -2 ", "1_0", "3e-320"]),
+)
+# (cell index, bad cell), or a cut to fewer cells, or a flat period with P&L.
+FAULTS = st.sampled_from([
+    (0, "x"), (0, ""), (0, "1.5"), (0, "{prev}"),
+    (1, "X"), (1, ""), (1, "LS"),
+    (2, "nan"), (2, "-inf"), (2, "1e999"), (2, "abc"), (2, ""), (2, '"3,5"'),
+    ("cut", 1), ("cut", 2), ("flat", "0.5"),
+])
+
+
+@st.composite
+def trades_files(draw) -> str:
+    """Trades CSV text in the spellings the reader accepts, with up to two
+    bad rows and sometimes a bad header."""
+    base = draw(st.sampled_from([0, 0, 2**70]))  # ids beyond int64 too
+    rows = []
+    for i in range(base + 1, base + draw(st.integers(0, 12)) + 1):
+        side = draw(SIDE_CELLS)
+        pnl = draw(FLAT_PNL_CELLS if side.strip() in ("F", "f") else PNL_CELLS)
+        rows.append([draw(ID_CELLS).format(i=i), side, pnl] + ['"a, b"'] * draw(st.integers(0, 1)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        where, cell = draw(FAULTS)
+        if where == "cut":
+            rows[k] = rows[k][:cell]
+        elif where == "flat":
+            rows[k][1:3] = ["F", cell]
+        elif where < len(rows[k]):  # a row cut by an earlier fault has fewer cells
+            rows[k][where] = cell.format(prev=base + k)
+    lines = [draw(HEADERS)]
+    for row in rows:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1])) + [",".join(row)]
+    return "\n".join(lines) + "\n"
+
+
+class TestReaderOracle:
+    @given(trades_files())
+    @settings(max_examples=500, deadline=None)
+    def test_columns_or_message_match_the_row_reader(self, text):
+        try:
+            ids, sides, pnls = oracle_read_trades_csv(io.StringIO(text))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                read_trades_csv(io.StringIO(text))
+            assert str(got.value) == str(exc)
+            return
+        series = read_trades_csv(io.StringIO(text))
+        assert series.period_id.tolist() == ids
+        assert series.side.tolist() == sides
+        assert series.pnl.tobytes() == np.array(pnls, dtype=float).tobytes()
+
+
+NUMBER_CELLS = st.one_of(
+    st.integers().map(str),
+    st.floats().map(render.cell),
+    st.sampled_from(["H", "T", "0", "1"]),
+)
+
+
+@st.composite
+def unquoted_tables(draw) -> list[list[str]]:
+    """Rows of number and letter cells; an empty cell only beside others."""
+    width = draw(st.integers(1, 5))
+    cells = NUMBER_CELLS if width == 1 else NUMBER_CELLS | st.just("")
+    return draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=20)), width
+
+
+@given(unquoted_tables())
+@settings(max_examples=300)
+def test_write_columns_is_csv_writer(table):
+    rows, width = table
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(rows)
+    got = io.StringIO()
+    render.write_columns(got, [[row[c] for row in rows] for c in range(width)])
+    assert got.getvalue() == expected.getvalue()
