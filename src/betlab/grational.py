@@ -46,6 +46,7 @@ import numpy as np
 
 from .betmath import BetSpec, GrowthCurve
 from .errors import BudgetError, DomainError, InfeasibleThreshold
+from .seeding import _integer, _root_seed
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
@@ -89,8 +90,9 @@ class McBudget:
     root_seed: int
 
     def __post_init__(self) -> None:
-        if self.n_paths < 1:
+        if _integer(self.n_paths, "n_paths") < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+        _root_seed(self.root_seed)
 
 
 @dataclass(frozen=True)

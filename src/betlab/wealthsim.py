@@ -34,7 +34,7 @@ import numpy as np
 from . import render
 from .betmath import BetSpec
 from .errors import DomainError
-from .seeding import stream
+from .seeding import _integer, _root_seed, stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
 # starting capital; the discrete model never reaches exactly zero for f < 1.
@@ -67,12 +67,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.f < 1.0:
             raise DomainError(f"betting fraction must lie in [0, 1), got {self.f}")
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.n_paths < 1:
+        if _integer(self.n_paths, "n_paths") < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not self.w0 > 0.0:
             raise DomainError(f"initial wealth must be positive, got {self.w0}")
+        _root_seed(self.root_seed)
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,7 @@ def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> 
     on the betting fraction, so one matrix can be reused across fractions
     (the common-random-numbers contract used by the grational solver).
     """
+    n_steps, n_paths = _integer(n_steps, "n_steps"), _integer(n_paths, "n_paths")
     if n_steps < 1 or n_paths < 1:
         raise DomainError("n_steps and n_paths must be >= 1")
     if n_paths * n_steps > np.iinfo(np.intp).max:
@@ -211,6 +213,7 @@ def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
     increment finite when an all-win prefix drives ``xbar_k`` to 1.
     Vectorizable because outcomes never depend on the bet size.
     """
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     x = stream(root_seed).random(n_steps) < bet.p

@@ -380,3 +380,29 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "True False"]
+
+    def test_numpy_random_loads_only_for_streams(self):
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from betlab import cli
+
+            def run(*argv):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(list(argv)) == 0, argv
+
+            print("numpy.random" in sys.modules)
+            run("kelly", "--p", "0.6", "--d", "1")
+            run("popp", "--state", "++,+,+,-,-,-,+,?,+")
+            print("numpy.random" in sys.modules)
+            run("grational", "--p", "0.6", "--d", "1", "--steps", "5", "--threshold",
+                "0.3", "--max-prob", "0.2", "--paths", "1000", "--grid-step", "0.1")
+            print("numpy.random" in sys.modules)
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "False", "True"]

@@ -109,6 +109,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             solve(problem, McBudget(2000, 0), grid_step=0.2)
 
+    @pytest.mark.parametrize("root_seed", [-1, 2**64, 1.5, math.nan, True, "3"])
+    def test_budget_rejects_bad_seed(self, root_seed):
+        with pytest.raises(DomainError, match="root_seed"):
+            McBudget(1000, root_seed)
+
+    @pytest.mark.parametrize("n_paths", [1000.0, 2500.5, "1000", True])
+    def test_budget_rejects_non_integer_paths(self, n_paths):
+        with pytest.raises(DomainError, match="n_paths"):
+            McBudget(n_paths, 1)
+
+    def test_budget_accepts_numpy_integers(self):
+        McBudget(np.int64(1000), np.uint64(2**64 - 1))
+
 
 class TestViolationProbability:
     def test_zero_fraction_is_exactly_zero(self):

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betlab.betmath import BetSpec, asymptotic_growth
 from betlab.errors import DomainError
+from betlab.seeding import DEFAULT_SEED
 from betlab.wealthsim import (
     SimConfig,
     WealthPath,
@@ -20,6 +21,15 @@ from betlab.wealthsim import (
     worst_loss,
     write_paths_csv,
 )
+
+
+def oracle_outcome_matrix(bet, n_steps, n_paths, root_seed):
+    """One ``SeedSequence`` per path: the stream definition, row by row."""
+    wins = np.empty((n_paths, n_steps), dtype=bool)
+    for k in range(n_paths):
+        rng = np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(k,)))
+        wins[k] = rng.random(n_steps) < bet.p
+    return wins
 
 
 def path_from_log_wealth(values) -> WealthPath:
@@ -81,6 +91,69 @@ class TestSimulatePaths:
             SimConfig(bet, f=0.1, n_steps=0, n_paths=1, root_seed=0)
         with pytest.raises(DomainError):
             SimConfig(bet, f=0.1, n_steps=1, n_paths=1, root_seed=0, w0=0.0)
+
+    @pytest.mark.parametrize("root_seed", [-1, 2**64, 1.5, math.nan, True, "3"])
+    def test_config_rejects_bad_seed(self, root_seed):
+        with pytest.raises(DomainError, match="root_seed"):
+            SimConfig(BetSpec(0.6, 1.0), f=0.1, n_steps=1, n_paths=1, root_seed=root_seed)
+
+    @pytest.mark.parametrize("field", ["n_steps", "n_paths"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, math.nan, "3", True])
+    def test_config_rejects_non_integer_size(self, field, value):
+        sizes = {"n_steps": 2, "n_paths": 2, field: value}
+        with pytest.raises(DomainError, match=field):
+            SimConfig(BetSpec(0.6, 1.0), f=0.1, root_seed=0, **sizes)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(
+            BetSpec(0.6, 1.0), f=0.2, n_steps=np.int64(5), n_paths=np.int32(3),
+            root_seed=np.uint64(2**64 - 1),
+        )
+        expected = oracle_outcome_matrix(cfg.bet, 5, 3, 2**64 - 1)
+        assert np.array_equal([p.outcomes for p in simulate_paths(cfg)], expected)
+
+
+class TestOutcomeMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        root_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        n_steps=st.integers(min_value=1, max_value=30),
+        n_paths=st.integers(min_value=1, max_value=300),
+        p=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_oracle(self, root_seed, n_steps, n_paths, p):
+        bet = BetSpec(p, 1.0)
+        assert np.array_equal(
+            outcome_matrix(bet, n_steps, n_paths, root_seed),
+            oracle_outcome_matrix(bet, n_steps, n_paths, root_seed),
+        )
+
+    @settings(max_examples=5, deadline=None)
+    @given(
+        root_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        n_paths=st.integers(min_value=4097, max_value=8200),
+    )
+    @example(root_seed=DEFAULT_SEED, n_paths=8193)
+    @example(root_seed=2**64 - 1, n_paths=4097)
+    def test_matches_oracle_across_blocks(self, root_seed, n_paths):
+        # Path counts past 4096 and 8192 cross the blocks seed words come in.
+        bet = BetSpec(0.6, 1.0)
+        assert np.array_equal(
+            outcome_matrix(bet, 3, n_paths, root_seed),
+            oracle_outcome_matrix(bet, 3, n_paths, root_seed),
+        )
+
+    @pytest.mark.parametrize(
+        "n_steps, n_paths", [(2.5, 3), (3, 2.5), (2.0, 3), ("3", 3), (3, math.nan)]
+    )
+    def test_rejects_non_integer_sizes(self, n_steps, n_paths):
+        with pytest.raises(DomainError):
+            outcome_matrix(BetSpec(0.6, 1.0), n_steps, n_paths, root_seed=1)
+
+    @pytest.mark.parametrize("root_seed", [-1, 2**64, 1.5, math.nan])
+    def test_rejects_bad_seed(self, root_seed):
+        with pytest.raises(DomainError, match="root_seed"):
+            outcome_matrix(BetSpec(0.6, 1.0), 2, 2, root_seed)
 
 
 class TestLossFunctionals:
@@ -163,6 +236,11 @@ class TestAdaptivePolicy:
         growth = adaptive_policy_growth(BetSpec(1.0, 1.0), n_steps=100, root_seed=1)
         assert math.isfinite(growth)
         assert growth > 0.5
+
+    @pytest.mark.parametrize("n_steps", [2.5, 10.0, "10", math.nan])
+    def test_rejects_non_integer_steps(self, n_steps):
+        with pytest.raises(DomainError, match="n_steps"):
+            adaptive_policy_growth(BetSpec(0.6, 1.0), n_steps, root_seed=1)
 
     def test_deterministic(self):
         bet = BetSpec(0.55, 2.0)
