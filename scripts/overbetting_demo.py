@@ -16,7 +16,7 @@ import numpy as np
 from betlab import cli
 from betlab.betmath import BetSpec, asymptotic_growth, critical_fraction, \
     kelly_fraction
-from betlab.wealthsim import SimConfig, drawdown, simulate_paths
+from betlab.wealthsim import SimConfig, path_stats, simulate_paths
 
 
 def overbetting(args):
@@ -29,9 +29,8 @@ def overbetting(args):
     for f in (f_star, min(2 * f_star, 0.99), min(f_c + 0.02, 0.99)):
         config = SimConfig(bet=bet, f=float(f), n_steps=args.steps,
                            n_paths=args.paths, root_seed=args.seed)
-        for path in simulate_paths(config):
-            realized = (path.log_wealth[-1] - path.log_wealth[0]) / path.n_steps
-            yield ["path", f, realized, drawdown(path)]
+        for stats in map(path_stats, simulate_paths(config)):
+            yield ["path", f, stats.growth_rate, stats.drawdown]
 
 
 def build_parser():

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoPositiveRoot
+from .errors import DomainError, NoPositiveRoot, fraction, probability
 
 @dataclass(frozen=True)
 class BetSpec:
@@ -43,8 +43,7 @@ class BetSpec:
     d: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"win probability must lie in [0, 1], got {self.p}")
+        probability(self.p, "win probability")
         if not (self.d > 0.0 and math.isfinite(self.d)):
             raise DomainError(f"odds must be positive and finite, got {self.d}")
 
@@ -61,20 +60,26 @@ class GrowthCurve:
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        fractions = np.asarray(self.fractions, dtype=float)
+        fractions = _fraction_grid(self.fractions)
         rates = np.asarray(self.rates, dtype=float)
         if fractions.shape != rates.shape or fractions.ndim != 1:
             raise DomainError("fractions and rates must be 1-d sequences of equal length")
         if np.any(np.diff(fractions) <= 0):
             raise DomainError("fractions must be strictly increasing")
-        if np.any(fractions < 0) or np.any(fractions >= 1):
-            raise DomainError("fractions must lie in [0, 1)")
         object.__setattr__(self, "fractions", fractions)
         object.__setattr__(self, "rates", rates)
 
     def argmax_fraction(self) -> float:
         """Grid fraction with the largest growth rate."""
         return float(self.fractions[int(np.argmax(self.rates))])
+
+
+def _fraction_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``values`` as a float array of betting fractions, each in [0, 1)."""
+    fractions = np.asarray(values)
+    if fractions.dtype.kind not in "iuf" or not np.all((fractions >= 0) & (fractions < 1)):
+        raise DomainError("fractions must lie in [0, 1)")
+    return fractions.astype(float, copy=False)
 
 
 def kelly_fraction(bet: BetSpec) -> float:
@@ -88,23 +93,19 @@ def asymptotic_growth(bet: BetSpec, f: float) -> float:
     Raises :class:`DomainError` for ``f`` outside ``[0, 1)`` (the ``f = 1``
     boundary is a log singularity whenever ``p < 1``).
     """
-    if not 0.0 <= f < 1.0:
-        raise DomainError(f"betting fraction must lie in [0, 1), got {f}")
+    fraction(f)
     return bet.p * math.log1p(bet.d * f) + bet.q * math.log1p(-f)
 
 
 def growth_derivative(bet: BetSpec, f: float) -> float:
     """First derivative of the growth rate: ``d*p/(1 + d*f) - (1-p)/(1-f)``."""
-    if not 0.0 <= f < 1.0:
-        raise DomainError(f"betting fraction must lie in [0, 1), got {f}")
+    fraction(f)
     return bet.d * bet.p / (1.0 + bet.d * f) - bet.q / (1.0 - f)
 
 
 def growth_curve(bet: BetSpec, fractions: Sequence[float] | np.ndarray) -> GrowthCurve:
     """Evaluate the growth rate on an increasing grid of fractions."""
-    fractions = np.asarray(fractions, dtype=float)
-    if fractions.size and (fractions.min() < 0 or fractions.max() >= 1):
-        raise DomainError("fractions must lie in [0, 1)")
+    fractions = _fraction_grid(fractions)
     rates = bet.p * np.log1p(bet.d * fractions) + bet.q * np.log1p(-fractions)
     return GrowthCurve(fractions=fractions, rates=rates)
 

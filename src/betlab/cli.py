@@ -28,7 +28,7 @@ from typing import IO, Callable, Iterable, Sequence
 import numpy as np
 
 from . import betmath, games, grational, millerclear, popp, render, sysstats, wealthsim
-from .errors import DomainError, NoPositiveRoot
+from .errors import DomainError, NoPositiveRoot, root_seed
 from .seeding import DEFAULT_SEED
 
 SEED_ENV_VAR = "GRATIONAL_SEED"
@@ -42,10 +42,7 @@ class CommandOutput:
 
 
 def _seed_type(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {value}")
-    return value
+    return root_seed(int(text), "seed")
 
 
 def _resolve_seed(flag_value: int | None) -> int:

@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import DomainError
+from .errors import DomainError, count, integer, probability
 from .seeding import stream
 
 H = "H"
@@ -70,7 +70,6 @@ class GameTranscript:
 class Strategy:
     """Stateful chooser; sees the full history via per-round observe calls."""
 
-    name = "strategy"
     # i.i.d. H-probability when the strategy ignores history (enables the
     # vectorized match path); None for adaptive strategies.
     iid_p_h: float | None = None
@@ -98,7 +97,6 @@ class Strategy:
 class CoinFlip(Strategy):
     """Fair 50/50 mixing: the minimax strategy."""
 
-    name = "coinflip"
     iid_p_h = 0.5
 
     def choose(self) -> str:
@@ -108,11 +106,8 @@ class CoinFlip(Strategy):
 class Biased(Strategy):
     """I.i.d. H with probability p_h, history-blind."""
 
-    name = "biased"
-
     def __init__(self, p_h: float) -> None:
-        if not 0.0 <= p_h <= 1.0:
-            raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
+        probability(p_h, "p_h")
         self.p_h = p_h
         self.iid_p_h = p_h
 
@@ -122,8 +117,6 @@ class Biased(Strategy):
 
 class Fixed(Strategy):
     """Always the same choice."""
-
-    name = "fixed"
 
     def __init__(self, choice: str) -> None:
         if choice not in (H, T):
@@ -137,8 +130,6 @@ class Fixed(Strategy):
 
 class Alternator(Strategy):
     """Strict alternation from a starting choice."""
-
-    name = "alternator"
 
     def __init__(self, start: str = H) -> None:
         if start not in (H, T):
@@ -167,10 +158,8 @@ class FrequencyExploiter(Strategy):
     random in expectation.
     """
 
-    name = "exploiter"
-
     def __init__(self, k: int = 2) -> None:
-        if not 1 <= k <= 8:
+        if not 1 <= integer(k, "context order") <= 8:
             raise DomainError(f"context order must lie in 1..8, got {k}")
         self.k = k
 
@@ -201,11 +190,8 @@ class BestResponder(Strategy):
     p != 0.5; at exactly 0.5 nothing beats a coin flip.
     """
 
-    name = "bestresponse"
-
     def __init__(self, announced_p_h: float) -> None:
-        if not 0.0 <= announced_p_h <= 1.0:
-            raise DomainError(f"announced p_h must lie in [0, 1], got {announced_p_h}")
+        probability(announced_p_h, "announced p_h")
         self.announced_p_h = announced_p_h
 
     def choose(self) -> str:
@@ -240,7 +226,7 @@ def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> Ga
 
 
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
-    if not 1 <= n_rounds <= np.iinfo(np.intp).max:
+    if not 1 <= integer(n_rounds, "n_rounds") <= np.iinfo(np.intp).max:
         raise DomainError(f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {n_rounds}")
     if not (math.isfinite(stake) and stake > 0.0):
         raise DomainError(f"stake must be positive and finite, got {stake}")
@@ -311,14 +297,13 @@ def responder_expected_gain(
     over the rounds: gain = (2*p_h - 1) * (2*x - 1) * stake_total.
     Bilinear in the two biases; zero whenever either side is unbiased.
     """
-    if not 0.0 <= p_h <= 1.0:
-        raise DomainError(f"p_h must lie in [0, 1], got {p_h}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
+    probability(p_h, "p_h")
+    probability(x, "x")
+    count(n_rounds, "n_rounds")
     if not stake_total >= 0.0:
         raise DomainError(f"stake_total must be nonnegative, got {stake_total}")
+    if math.isinf(stake_total):
+        raise DomainError(f"stake_total must be finite, got {stake_total}")
     return (2.0 * p_h - 1.0) * (2.0 * x - 1.0) * stake_total
 
 

@@ -45,8 +45,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .betmath import BetSpec, GrowthCurve
-from .errors import BudgetError, DomainError, InfeasibleThreshold
-from .seeding import _integer, _root_seed
+from .errors import (BudgetError, DomainError, InfeasibleThreshold, count, fraction,
+                     probability, root_seed)
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
@@ -69,8 +69,7 @@ class GrationalProblem:
     max_prob: float
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        count(self.n_steps, "n_steps")
         if not isinstance(self.loss_kind, LossKind):
             raise DomainError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
         if not self.loss_threshold > 0.0:
@@ -78,8 +77,7 @@ class GrationalProblem:
                 f"loss threshold must be positive, got {self.loss_threshold}; "
                 "a nonpositive threshold is violated even by f = 0"
             )
-        if not 0.0 <= self.max_prob <= 1.0:
-            raise DomainError(f"max_prob must lie in [0, 1], got {self.max_prob}")
+        probability(self.max_prob, "max_prob")
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,8 @@ class McBudget:
     root_seed: int
 
     def __post_init__(self) -> None:
-        if _integer(self.n_paths, "n_paths") < 1:
-            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        _root_seed(self.root_seed)
+        count(self.n_paths, "n_paths")
+        root_seed(self.root_seed)
 
 
 @dataclass(frozen=True)
@@ -208,8 +205,7 @@ def solve(
     """
     if not _MIN_GRID_STEP <= grid_step <= 0.1:
         raise DomainError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.1], got {grid_step}")
-    if not 0.0 <= f_max < 1.0:
-        raise DomainError(f"f_max must lie in [0, 1), got {f_max}")
+    fraction(f_max, "f_max")
     if budget.n_paths < _MIN_PATHS:
         raise BudgetError(
             f"need at least {_MIN_PATHS} paths for usable violation estimates, "
@@ -228,7 +224,7 @@ def best_feasible(grid: GrationalGrid, max_prob: float) -> GrationalSolution:
     that mask.  The grid does not depend on the cap, so a sweep over caps
     scores one grid and calls this once per cap.
     """
-    grid = replace(grid, feasible=grid.p_violation <= max_prob)
+    grid = replace(grid, feasible=grid.p_violation <= probability(max_prob, "max_prob"))
     feasible_idx = np.flatnonzero(grid.feasible)
     if feasible_idx.size == 0:
         return GrationalSolution(
@@ -270,8 +266,7 @@ def violation_probability(
         loss_threshold=loss_threshold,
         max_prob=1.0,
     )
-    if not 0.0 <= f < 1.0:
-        raise DomainError(f"betting fraction must lie in [0, 1), got {f}")
+    fraction(f)
     wins = outcome_matrix(bet, n_steps, budget.n_paths, budget.root_seed)
     grid = _grid_stats(problem, wins, np.asarray([f], dtype=float))
     return McEstimate(float(grid.p_violation[0]), float(grid.se_violation[0]))

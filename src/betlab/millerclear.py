@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoClear
+from .errors import DomainError, NoClear, count, integer
 from .seeding import stream
 
 
@@ -56,6 +56,8 @@ class EmpiricalOpinions:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise DomainError("samples must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(samples)):
+            raise DomainError("samples must be finite")
         if self.truncate:
             samples = np.maximum(samples, 0.0)
         object.__setattr__(self, "samples", samples)
@@ -80,8 +82,9 @@ class AuctionSpec:
     short_supply: int = 0
 
     def __post_init__(self) -> None:
-        if self.m_buyers < 1:
-            raise DomainError(f"m_buyers must be >= 1, got {self.m_buyers}")
+        count(self.m_buyers, "m_buyers")
+        integer(self.n_shares, "n_shares")
+        integer(self.short_supply, "short_supply")
         if self.n_shares < 0 or self.short_supply < 0:
             raise DomainError("share counts must be nonnegative")
         if self.n_shares + self.short_supply < 1:
@@ -100,7 +103,14 @@ class AuctionSpec:
         return 1.0 - self.supply / self.m_buyers
 
 
-def _kth_highest(samples: np.ndarray, k: int) -> float:
+def _kth_highest(dist: EmpiricalOpinions, auction: AuctionSpec, k: int) -> float:
+    """The k-th highest estimate of a sample that holds one per buyer."""
+    samples = dist.samples
+    if samples.size != auction.m_buyers:
+        raise DomainError(
+            f"empirical mode needs one estimate per buyer: "
+            f"{samples.size} samples vs M={auction.m_buyers}"
+        )
     # k-th highest = element at ascending index size - k.
     return float(np.partition(samples, samples.size - k)[samples.size - k])
 
@@ -123,12 +133,7 @@ def clearing_price(dist: OpinionDistribution, auction: AuctionSpec) -> float:
         else:
             price = dist.mean + dist.sd * float(ndtri(level))
         return max(price, 0.0) if dist.truncate else price
-    if dist.samples.size != auction.m_buyers:
-        raise DomainError(
-            f"empirical mode needs one estimate per buyer: "
-            f"{dist.samples.size} samples vs M={auction.m_buyers}"
-        )
-    return _kth_highest(dist.samples, auction.supply)
+    return _kth_highest(dist, auction, auction.supply)
 
 
 def dispersion_sweep(
@@ -151,7 +156,7 @@ def short_selling_effect(
     """Clearing prices as short-sold supply is varied; nonincreasing in s."""
     prices = []
     for s in short_supplies:
-        if s < 0:
+        if integer(s, "short supply") < 0:
             raise DomainError(f"short supply must be nonnegative, got {s}")
         prices.append(
             clearing_price(dist, dataclasses.replace(auction, short_supply=int(s)))
@@ -171,25 +176,19 @@ def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
     """
     if not isinstance(dist, EmpiricalOpinions):
         raise DomainError("re-auction is defined for empirical opinion samples")
-    if dist.samples.size != auction.m_buyers:
-        raise DomainError(
-            f"empirical mode needs one estimate per buyer: "
-            f"{dist.samples.size} samples vs M={auction.m_buyers}"
-        )
     if 2 * auction.supply > auction.m_buyers:
         raise NoClear(
             f"re-auction needs {2 * auction.supply} willing buyers, "
             f"only {auction.m_buyers} exist"
         )
-    return _kth_highest(dist.samples, 2 * auction.supply)
+    return _kth_highest(dist, auction, 2 * auction.supply)
 
 
 def sample_normal_opinions(
     mean: float, sd: float, m_buyers: int, root_seed: int, truncate: bool = False
 ) -> EmpiricalOpinions:
     """Draw one estimate per buyer from Normal(mean, sd), seeded stream."""
-    if m_buyers < 1:
-        raise DomainError(f"m_buyers must be >= 1, got {m_buyers}")
+    count(m_buyers, "m_buyers")
     _check_normal(mean, sd)
     with np.errstate(over="ignore"):
         draws = mean + sd * stream(root_seed).standard_normal(m_buyers)

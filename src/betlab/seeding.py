@@ -29,12 +29,12 @@ generation", 2014).  Every other key shape builds a ``SeedSequence``.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from . import errors
+from .errors import DomainError, integer
 
 # Default root seed used by the CLI when neither --seed nor the
 # GRATIONAL_SEED environment variable is given.
@@ -50,27 +50,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _integer(value: object, what: str) -> int:
-    """``value`` as an int; a bool, float, string or other non-integer raises."""
-    if isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _root_seed(value: object) -> int:
-    """Check a root seed: an integer in [0, 2**64), numpy integers included."""
-    seed = _integer(value, "root_seed")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"root_seed must be a 64-bit unsigned integer, got {value!r}")
-    return seed
-
-
 def _key(value: object) -> int:
     """Check a stream key: a nonnegative integer."""
-    k = _integer(value, "stream key")
+    k = integer(value, "stream key")
     if k < 0:
         raise DomainError(f"stream keys must be nonnegative, got {value!r}")
     return k
@@ -160,7 +142,7 @@ def stream(root_seed: int, *key: int) -> np.random.Generator:
     The root seed must be an integer in [0, 2**64) and each key a
     nonnegative integer; numpy integers are accepted.
     """
-    seed = _root_seed(root_seed)
+    seed = errors.root_seed(root_seed)
     key = tuple(map(_key, key))
     if len(key) == 1 and key[0] < 2**32:
         (k,) = key

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from operator import itemgetter
 from typing import IO, Callable, Iterable, Sequence
@@ -51,11 +51,6 @@ _EXACT_RUNS_MAX_N = 30
 
 # Side letters: long, short, flat.
 _SIDES = ("L", "S", "F")
-
-SUMMARY_COLUMNS = (
-    "np", "npi", "maxdd", "pnlpp", "ir",
-    "pnltot", "sdpnl", "winpct", "runs", "runspvu",
-)
 
 
 class Filter(Enum):
@@ -126,6 +121,9 @@ class SummaryRow:
     winpct: float
     runs: int
     runspvu: float
+
+
+SUMMARY_COLUMNS = tuple(field.name for field in fields(SummaryRow))
 
 
 @dataclass(frozen=True)
@@ -352,21 +350,11 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
     maxdd flips to the negative display sign; NaN (undefined ir/sdpnl)
     becomes None so JSON renders null and text renders NA.
     """
-
-    def clean(x: float) -> float | None:
-        return None if math.isnan(x) else x
-
+    values = {name: getattr(row, name) for name in SUMMARY_COLUMNS}
+    values["maxdd"] = -row.maxdd
     return {
-        "np": row.np,
-        "npi": row.npi,
-        "maxdd": -row.maxdd,
-        "pnlpp": clean(row.pnlpp),
-        "ir": clean(row.ir),
-        "pnltot": clean(row.pnltot),
-        "sdpnl": clean(row.sdpnl),
-        "winpct": clean(row.winpct),
-        "runs": row.runs,
-        "runspvu": clean(row.runspvu),
+        name: None if isinstance(x, float) and math.isnan(x) else x
+        for name, x in values.items()
     }
 
 

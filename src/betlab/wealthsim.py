@@ -33,8 +33,8 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import DomainError
-from .seeding import _integer, _root_seed, stream
+from .errors import DomainError, count, fraction, root_seed
+from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
 # starting capital; the discrete model never reaches exactly zero for f < 1.
@@ -65,15 +65,12 @@ class SimConfig:
     w0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.f < 1.0:
-            raise DomainError(f"betting fraction must lie in [0, 1), got {self.f}")
-        if _integer(self.n_steps, "n_steps") < 1:
-            raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
-        if _integer(self.n_paths, "n_paths") < 1:
-            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
+        fraction(self.f)
+        count(self.n_steps, "n_steps")
+        count(self.n_paths, "n_paths")
         if not self.w0 > 0.0:
             raise DomainError(f"initial wealth must be positive, got {self.w0}")
-        _root_seed(self.root_seed)
+        root_seed(self.root_seed)
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,7 @@ def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> 
     on the betting fraction, so one matrix can be reused across fractions
     (the common-random-numbers contract used by the grational solver).
     """
-    n_steps, n_paths = _integer(n_steps, "n_steps"), _integer(n_paths, "n_paths")
-    if n_steps < 1 or n_paths < 1:
-        raise DomainError("n_steps and n_paths must be >= 1")
+    n_steps, n_paths = count(n_steps, "n_steps"), count(n_paths, "n_paths")
     if n_paths * n_steps > np.iinfo(np.intp).max:
         raise DomainError(f"{n_paths} paths of {n_steps} steps exceed what numpy can index")
     wins = np.empty((n_paths, n_steps), dtype=bool)
@@ -199,9 +194,7 @@ def ruin_probability_all_in(bet: BetSpec, n: int) -> float:
     Betting everything each turn, a single loss is ruin, so only the
     all-win sequence survives.  Monotone to 1 as ``n`` grows for p < 1.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return 1.0 - bet.p**n
+    return 1.0 - bet.p ** count(n, "n")
 
 
 def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
@@ -213,9 +206,7 @@ def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
     increment finite when an all-win prefix drives ``xbar_k`` to 1.
     Vectorizable because outcomes never depend on the bet size.
     """
-    n_steps = _integer(n_steps, "n_steps")
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = count(n_steps, "n_steps")
     x = stream(root_seed).random(n_steps) < bet.p
     seen = np.arange(n_steps, dtype=float)  # outcomes observed before each step
     wins_before = np.concatenate(([0.0], np.cumsum(x)[:-1].astype(float)))
