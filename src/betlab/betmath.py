@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoPositiveRoot, fraction, probability
+from .errors import DomainError, NoPositiveRoot, fraction, probability, real
 
 @dataclass(frozen=True)
 class BetSpec:
@@ -44,7 +44,7 @@ class BetSpec:
 
     def __post_init__(self) -> None:
         probability(self.p, "win probability")
-        if not (self.d > 0.0 and math.isfinite(self.d)):
+        if not (real(self.d, "odds") > 0.0 and math.isfinite(self.d)):
             raise DomainError(f"odds must be positive and finite, got {self.d}")
 
     @property
@@ -180,6 +180,6 @@ def fractional_kelly(bet: BetSpec, alpha: float) -> float:
     growth is retained for every ``alpha`` in (0, 1] because the growth
     curve is concave with its maximum at ``f*``.
     """
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < real(alpha, "alpha") <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha * kelly_fraction(bet)

@@ -52,7 +52,7 @@ def count(value: object, what: str) -> int:
     return n
 
 
-def _real(value: object, what: str) -> float:
+def real(value: object, what: str) -> float:
     """``value`` as a float; a bool, string or other non-real raises."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{what} must be a real number, got {value!r}")
@@ -61,7 +61,7 @@ def _real(value: object, what: str) -> float:
 
 def probability(value: object, what: str) -> float:
     """``value`` as a float in [0, 1]."""
-    p = _real(value, what)
+    p = real(value, what)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"{what} must lie in [0, 1], got {value}")
     return p
@@ -69,7 +69,7 @@ def probability(value: object, what: str) -> float:
 
 def fraction(value: object, what: str = "betting fraction") -> float:
     """``value`` as a float in [0, 1)."""
-    f = _real(value, what)
+    f = real(value, what)
     if not 0.0 <= f < 1.0:
         raise DomainError(f"{what} must lie in [0, 1), got {value}")
     return f

@@ -8,6 +8,10 @@ any opponent.  Everything exploitable here comes from an opponent
 deviating from the 50/50 mix, either statically (a biased or fixed
 chooser) or through patterns a context model can learn.
 
+The history-blind strategies (biased, fixed, alternating, best response
+to an announced mix) draw a match's whole choice column at once; only the
+order-k exploiter plays round by round.
+
 Determinism: a match draws from per-player streams derived from
 ``(root_seed, player)``, so transcripts are bit-reproducible.
 """
@@ -21,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import DomainError, count, integer, probability
+from .errors import DomainError, count, integer, probability, real
 from .seeding import stream
 
 H = "H"
@@ -30,6 +34,7 @@ T = "T"
 # Rounds per batch when writing a transcript: whole columns at once would
 # hold the text of every row in memory.
 _CSV_BLOCK = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,8 @@ class GameTranscript:
         if self.rake == 0.0:
             if np.any(totals != 0.0):
                 raise DomainError("zero-sum violated")
-        elif not np.allclose(totals, -self.rake, atol=1e-12):
+        elif not np.all(abs(totals + self.rake) <= 4 * _EPS * (self.stake + self.rake)):
+            # Each gain rounds once, by at most eps/2 of stake + rake/2.
             raise DomainError("per-round gains must sum to -rake")
 
     @property
@@ -68,51 +74,41 @@ class GameTranscript:
 
 
 class Strategy:
-    """Stateful chooser; sees the full history via per-round observe calls."""
+    """A matching-pennies player.
 
-    # i.i.d. H-probability when the strategy ignores history (enables the
-    # vectorized match path); None for adaptive strategies.
-    iid_p_h: float | None = None
-
-    def begin(self, rng: np.random.Generator, player: int) -> None:
-        self.rng = rng
-        self.player = player
-
-    def choose(self) -> str:
-        raise NotImplementedError
-
-    def observe(self, own: str, opp: str) -> None:
-        pass
-
-    def _respond_to(self, predicted_opp: str) -> str:
-        # Player 1 wins on a match, player 2 on a mismatch.
-        if self.player == 1:
-            return predicted_opp
-        return T if predicted_opp == H else H
-
-    def _flip(self, p_h: float) -> str:
-        return H if self.rng.random() < p_h else T
+    A history-blind strategy implements ``column(rng, player, n_rounds)``
+    and returns the match's whole choice array (dtype ``U1``) at once.  The
+    one adaptive strategy, :class:`FrequencyExploiter`, plays round by
+    round through ``begin``/``choose``/``observe`` instead.
+    """
 
 
-class CoinFlip(Strategy):
-    """Fair 50/50 mixing: the minimax strategy."""
+_OTHER = {H: T, T: H}
 
-    iid_p_h = 0.5
 
-    def choose(self) -> str:
-        return self._flip(0.5)
+def _replies(player: int) -> dict[str, str]:
+    """A seat's best reply to each predicted opponent choice: player 1
+    wins on a match, player 2 on a mismatch."""
+    if integer(player, "player") not in (1, 2):
+        raise DomainError(f"player must be 1 or 2, got {player!r}")
+    return {H: H, T: T} if player == 1 else _OTHER
 
 
 class Biased(Strategy):
     """I.i.d. H with probability p_h, history-blind."""
 
     def __init__(self, p_h: float) -> None:
-        probability(p_h, "p_h")
-        self.p_h = p_h
-        self.iid_p_h = p_h
+        self.p_h = probability(p_h, "p_h")
 
-    def choose(self) -> str:
-        return self._flip(self.p_h)
+    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+        return np.where(rng.random(n_rounds) < self.p_h, H, T)
+
+
+class CoinFlip(Biased):
+    """Fair 50/50 mixing: the minimax strategy."""
+
+    def __init__(self) -> None:
+        super().__init__(0.5)
 
 
 class Fixed(Strategy):
@@ -122,10 +118,9 @@ class Fixed(Strategy):
         if choice not in (H, T):
             raise DomainError(f"choice must be H or T, got {choice!r}")
         self.choice = choice
-        self.iid_p_h = 1.0 if choice == H else 0.0
 
-    def choose(self) -> str:
-        return self.choice
+    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+        return np.full(n_rounds, self.choice, dtype="U1")
 
 
 class Alternator(Strategy):
@@ -136,16 +131,8 @@ class Alternator(Strategy):
             raise DomainError(f"start must be H or T, got {start!r}")
         self.start = start
 
-    def begin(self, rng: np.random.Generator, player: int) -> None:
-        super().begin(rng, player)
-        self._count = 0
-
-    def choose(self) -> str:
-        flip = self._count % 2 == 1
-        self._count += 1
-        if flip:
-            return T if self.start == H else H
-        return self.start
+    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+        return np.resize(np.array([self.start, _OTHER[self.start]]), n_rounds)
 
 
 class FrequencyExploiter(Strategy):
@@ -164,7 +151,8 @@ class FrequencyExploiter(Strategy):
         self.k = k
 
     def begin(self, rng: np.random.Generator, player: int) -> None:
-        super().begin(rng, player)
+        self._reply = _replies(player)
+        self._rng = rng
         self._opp: list[str] = []
         self._table: dict[tuple[str, ...], list[int]] = {}
 
@@ -172,10 +160,10 @@ class FrequencyExploiter(Strategy):
         if len(self._opp) >= self.k:
             counts = self._table.get(tuple(self._opp[-self.k:]))
             if counts is not None and counts[0] != counts[1]:
-                return self._respond_to(H if counts[0] > counts[1] else T)
-        return self._flip(0.5)
+                return self._reply[H if counts[0] > counts[1] else T]
+        return H if self._rng.random() < 0.5 else T
 
-    def observe(self, own: str, opp: str) -> None:
+    def observe(self, opp: str) -> None:
         if len(self._opp) >= self.k:
             counts = self._table.setdefault(tuple(self._opp[-self.k:]), [0, 0])
             counts[0 if opp == H else 1] += 1
@@ -191,24 +179,13 @@ class BestResponder(Strategy):
     """
 
     def __init__(self, announced_p_h: float) -> None:
-        probability(announced_p_h, "announced p_h")
-        self.announced_p_h = announced_p_h
+        self.announced_p_h = probability(announced_p_h, "announced p_h")
 
-    def choose(self) -> str:
-        if self.announced_p_h > 0.5:
-            return self._respond_to(H)
-        if self.announced_p_h < 0.5:
-            return self._respond_to(T)
-        return self._flip(0.5)
-
-
-def _iid_choices(strategy: Strategy, n_rounds: int) -> np.ndarray:
-    p = strategy.iid_p_h
-    if p >= 1.0:
-        return np.full(n_rounds, H, dtype="U1")
-    if p <= 0.0:
-        return np.full(n_rounds, T, dtype="U1")
-    return np.where(strategy.rng.random(n_rounds) < p, H, T).astype("U1")
+    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+        reply = _replies(player)
+        if self.announced_p_h == 0.5:
+            return CoinFlip().column(rng, player, n_rounds)
+        return Fixed(reply[H if self.announced_p_h > 0.5 else T]).column(rng, player, n_rounds)
 
 
 def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> GameTranscript:
@@ -228,12 +205,22 @@ def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> Ga
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
     if not 1 <= integer(n_rounds, "n_rounds") <= np.iinfo(np.intp).max:
         raise DomainError(f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {n_rounds}")
-    if not (math.isfinite(stake) and stake > 0.0):
+    if not (math.isfinite(real(stake, "stake")) and stake > 0.0):
         raise DomainError(f"stake must be positive and finite, got {stake}")
-    if not (math.isfinite(rake) and rake >= 0.0):
+    if not (math.isfinite(real(rake, "rake")) and rake >= 0.0):
         raise DomainError(f"rake must be nonnegative and finite, got {rake}")
     if not math.isfinite(n_rounds * (stake + rake)):
         raise DomainError(f"stake {stake} and rake {rake} over {n_rounds} rounds overflow")
+
+
+def _column(strategy: Strategy, root_seed: int, player: int, n_rounds: int) -> np.ndarray | None:
+    """A blind seat's choices from its stream (root_seed, player); for the
+    exploiter, None once it has begun on that stream."""
+    rng = stream(root_seed, player)
+    if isinstance(strategy, FrequencyExploiter):
+        strategy.begin(rng, player)
+        return None
+    return strategy.column(rng, player, n_rounds)
 
 
 def play_match(
@@ -246,28 +233,25 @@ def play_match(
 ) -> GameTranscript:
     """Run a match; player i draws from the stream keyed (root_seed, i).
 
-    When both strategies are history-blind (i.i.d.), choices are drawn in
-    one vectorized pass; this consumes the same underlying uniforms in
-    the same order as the round loop, so the transcript is identical.
+    Each history-blind seat draws its whole column first; only exploiter
+    seats then play round by round.  Every seat draws from its own stream,
+    and ``rng.random(n)`` gives the same doubles as n scalar draws, so the
+    order of drawing changes no transcript.
     """
     _check_match(n_rounds, stake, rake)
-    strategy1.begin(stream(root_seed, 1), player=1)
-    strategy2.begin(stream(root_seed, 2), player=2)
-
-    if strategy1.iid_p_h is not None and strategy2.iid_p_h is not None:
-        c1 = _iid_choices(strategy1, n_rounds)
-        c2 = _iid_choices(strategy2, n_rounds)
-    else:
-        c1 = np.empty(n_rounds, dtype="U1")
-        c2 = np.empty(n_rounds, dtype="U1")
-        for i in range(n_rounds):
-            a = strategy1.choose()
-            b = strategy2.choose()
-            c1[i] = a
-            c2[i] = b
-            strategy1.observe(a, b)
-            strategy2.observe(b, a)
-    return _transcript(c1, c2, stake, rake)
+    seats = (strategy1, strategy2)
+    columns = [_column(s, root_seed, i + 1, n_rounds) for i, s in enumerate(seats)]
+    adaptive = [i for i, c in enumerate(columns) if c is None]
+    if adaptive:
+        played = [[] if c is None else c.tolist() for c in columns]
+        for r in range(n_rounds):
+            for i in adaptive:
+                played[i].append(seats[i].choose())
+            for i in adaptive:
+                seats[i].observe(played[1 - i][r])
+        for i in adaptive:
+            columns[i] = np.array(played[i], dtype="U1")
+    return _transcript(columns[0], columns[1], stake, rake)
 
 
 def spy_match(
@@ -279,13 +263,14 @@ def spy_match(
     variance, whatever strategy 1 does.
     """
     _check_match(n_rounds, stake, 0.0)
-    strategy1.begin(stream(root_seed, 1), player=1)
-    c1 = np.empty(n_rounds, dtype="U1")
-    for i in range(n_rounds):
-        a = strategy1.choose()
-        c1[i] = a
-        strategy1.observe(a, T if a == H else H)
-    return _transcript(c1, np.where(c1 == H, T, H).astype("U1"), stake, 0.0)
+    c1 = _column(strategy1, root_seed, 1, n_rounds)
+    if c1 is None:
+        played = []
+        for _ in range(n_rounds):
+            played.append(strategy1.choose())
+            strategy1.observe(_OTHER[played[-1]])
+        c1 = np.array(played, dtype="U1")
+    return _transcript(c1, np.where(c1 == H, T, H), stake, 0.0)
 
 
 def responder_expected_gain(
@@ -300,7 +285,7 @@ def responder_expected_gain(
     probability(p_h, "p_h")
     probability(x, "x")
     count(n_rounds, "n_rounds")
-    if not stake_total >= 0.0:
+    if not real(stake_total, "stake_total") >= 0.0:
         raise DomainError(f"stake_total must be nonnegative, got {stake_total}")
     if math.isinf(stake_total):
         raise DomainError(f"stake_total must be finite, got {stake_total}")
@@ -310,16 +295,15 @@ def responder_expected_gain(
 def frequency_exploiter(
     history: list[str] | tuple[str, ...],
     k: int = 2,
-    rng: np.random.Generator | None = None,
     player: int = 2,
 ) -> str:
     """Stateless form of the exploiter: next choice given opponent history."""
     exploiter = FrequencyExploiter(k=k)
-    exploiter.begin(rng if rng is not None else stream(0), player=player)
+    exploiter.begin(stream(0), player=player)
     for choice in history:
         if choice not in (H, T):
             raise DomainError(f"history entries must be H or T, got {choice!r}")
-        exploiter.observe(own=H, opp=choice)  # own choice is irrelevant to the model
+        exploiter.observe(choice)
     return exploiter.choose()
 
 

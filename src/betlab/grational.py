@@ -46,7 +46,7 @@ import numpy as np
 
 from .betmath import BetSpec, GrowthCurve
 from .errors import (BudgetError, DomainError, InfeasibleThreshold, count, fraction,
-                     probability, root_seed)
+                     probability, real, root_seed)
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
@@ -72,7 +72,7 @@ class GrationalProblem:
         count(self.n_steps, "n_steps")
         if not isinstance(self.loss_kind, LossKind):
             raise DomainError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
-        if not self.loss_threshold > 0.0:
+        if not real(self.loss_threshold, "loss threshold") > 0.0:
             raise InfeasibleThreshold(
                 f"loss threshold must be positive, got {self.loss_threshold}; "
                 "a nonpositive threshold is violated even by f = 0"
@@ -203,7 +203,7 @@ def solve(
     incurs zero loss, so with a positive threshold the feasible set is
     never empty.
     """
-    if not _MIN_GRID_STEP <= grid_step <= 0.1:
+    if not _MIN_GRID_STEP <= real(grid_step, "grid_step") <= 0.1:
         raise DomainError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.1], got {grid_step}")
     fraction(f_max, "f_max")
     if budget.n_paths < _MIN_PATHS:

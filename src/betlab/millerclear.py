@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoClear, count, integer
+from .errors import DomainError, NoClear, count, integer, real
 from .seeding import stream
 
 
@@ -64,9 +64,9 @@ class EmpiricalOpinions:
 
 
 def _check_normal(mean: float, sd: float) -> None:
-    if not math.isfinite(mean):
+    if not math.isfinite(real(mean, "mean")):
         raise DomainError(f"mean must be finite, got {mean}")
-    if not (math.isfinite(sd) and sd >= 0.0):
+    if not (math.isfinite(real(sd, "sd")) and sd >= 0.0):
         raise DomainError(f"sd must be finite and nonnegative, got {sd}")
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import DomainError, count, fraction, root_seed
+from .errors import DomainError, count, fraction, real, root_seed
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -68,7 +68,7 @@ class SimConfig:
         fraction(self.f)
         count(self.n_steps, "n_steps")
         count(self.n_paths, "n_paths")
-        if not self.w0 > 0.0:
+        if not real(self.w0, "initial wealth") > 0.0:
             raise DomainError(f"initial wealth must be positive, got {self.w0}")
         root_seed(self.root_seed)
 
@@ -172,19 +172,17 @@ def drawdown(path: WealthPath) -> float:
     return float(path_losses(path.log_wealth, LossKind.DRAWDOWN))
 
 
-def path_stats(path: WealthPath, ruin_floor: float = DEFAULT_RUIN_FLOOR) -> PathStats:
-    """Summarize one path; ``ruined`` means wealth fell below ``ruin_floor * W_0``."""
+def path_stats(path: WealthPath) -> PathStats:
+    """Summarize one path; ``ruined`` means wealth fell below ``DEFAULT_RUIN_FLOOR * W_0``."""
     if path.n_steps < 1:
         raise DomainError("growth rate needs at least one step")
-    if not 0.0 < ruin_floor < 1.0:
-        raise DomainError(f"ruin floor must lie in (0, 1), got {ruin_floor}")
     lw = path.log_wealth
     wl = worst_loss(path)
     return PathStats(
         growth_rate=float((lw[-1] - lw[0]) / path.n_steps),
         worst_loss=wl,
         drawdown=drawdown(path),
-        ruined=bool(wl > -math.log(ruin_floor)),
+        ruined=bool(wl > -math.log(DEFAULT_RUIN_FLOOR)),
     )
 
 

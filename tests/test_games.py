@@ -1,11 +1,13 @@
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betlab import games
 from betlab.errors import DomainError
 from betlab.games import (
     Alternator,
@@ -22,6 +24,7 @@ from betlab.games import (
     spy_match,
     write_transcript_csv,
 )
+from betlab.seeding import stream
 
 
 # The payoff oracle: (player1 gain, player2 gain) per unit stake, keyed by
@@ -76,23 +79,145 @@ class TestPlayMatch:
         assert np.array_equal(a.choices2, b.choices2)
         assert np.array_equal(a.gains2, b.gains2)
 
-    def test_vectorized_path_matches_round_loop(self):
-        # strip the i.i.d. marker to force the loop; transcripts must agree
-        class LoopBiased(Biased):
-            def __init__(self, p_h):
-                super().__init__(p_h)
-                self.iid_p_h = None
-
-        fast = play_match(Biased(0.6), Biased(0.3), 500, root_seed=11)
-        slow = play_match(LoopBiased(0.6), LoopBiased(0.3), 500, root_seed=11)
-        assert np.array_equal(fast.choices1, slow.choices1)
-        assert np.array_equal(fast.choices2, slow.choices2)
-
     def test_rejects_bad_args(self):
         with pytest.raises(DomainError):
             play_match(CoinFlip(), CoinFlip(), 0, root_seed=1)
         with pytest.raises(DomainError):
             play_match(CoinFlip(), CoinFlip(), 10, root_seed=1, stake=0.0)
+
+
+OTHER = {"H": "T", "T": "H"}
+
+
+def oracle_player(strategy, rng, player):
+    """The per-round rule of ``strategy`` in seat ``player``: a
+    ``(choose, observe)`` pair that draws one uniform per coin flip."""
+
+    def flip(p_h):
+        return "H" if rng.random() < p_h else "T"
+
+    def respond(predicted):
+        # Player 1 wins on a match, player 2 on a mismatch.
+        return predicted if player == 1 else OTHER[predicted]
+
+    def ignore(opp):
+        pass
+
+    if isinstance(strategy, Biased):  # CoinFlip too
+        return (lambda: flip(strategy.p_h)), ignore
+    if isinstance(strategy, Fixed):
+        return (lambda: strategy.choice), ignore
+    if isinstance(strategy, Alternator):
+        rounds = itertools.count()
+        return (lambda: OTHER[strategy.start] if next(rounds) % 2 else strategy.start), ignore
+    if isinstance(strategy, BestResponder):
+        p = strategy.announced_p_h
+        return (lambda: respond("H") if p > 0.5 else respond("T") if p < 0.5 else flip(0.5)), ignore
+    assert isinstance(strategy, FrequencyExploiter)
+    opp_seen, table, k = [], {}, strategy.k
+
+    def choose():
+        if len(opp_seen) >= k:
+            counts = table.get(tuple(opp_seen[-k:]))
+            if counts is not None and counts[0] != counts[1]:
+                return respond("H" if counts[0] > counts[1] else "T")
+        return flip(0.5)
+
+    def observe(opp):
+        if len(opp_seen) >= k:
+            table.setdefault(tuple(opp_seen[-k:]), [0, 0])[0 if opp == "H" else 1] += 1
+        opp_seen.append(opp)
+
+    return choose, observe
+
+
+def oracle_gains(c1, c2, stake, rake):
+    gains1 = [(stake if a == b else -stake) - rake / 2.0 for a, b in zip(c1, c2)]
+    gains2 = [(-stake if a == b else stake) - rake / 2.0 for a, b in zip(c1, c2)]
+    return np.array(gains1), np.array(gains2)
+
+
+def oracle_match(strategy1, strategy2, n_rounds, root_seed, stake=1.0, rake=0.0):
+    """Round-by-round play: both seats choose, then each observes the other."""
+    choose1, observe1 = oracle_player(strategy1, stream(root_seed, 1), 1)
+    choose2, observe2 = oracle_player(strategy2, stream(root_seed, 2), 2)
+    c1, c2 = np.empty(n_rounds, dtype="U1"), np.empty(n_rounds, dtype="U1")
+    for i in range(n_rounds):
+        a, b = choose1(), choose2()
+        c1[i], c2[i] = a, b
+        observe1(b)
+        observe2(a)
+    return (c1, c2, *oracle_gains(c1, c2, stake, rake))
+
+
+def oracle_spy(strategy1, n_rounds, root_seed, stake=1.0):
+    """Round-by-round play against a spy who always mismatches."""
+    choose, observe = oracle_player(strategy1, stream(root_seed, 1), 1)
+    c1, c2 = np.empty(n_rounds, dtype="U1"), np.empty(n_rounds, dtype="U1")
+    for i in range(n_rounds):
+        c1[i] = choose()
+        c2[i] = OTHER[c1[i]]
+        observe(c2[i])
+    return (c1, c2, *oracle_gains(c1, c2, stake, 0.0))
+
+
+SPECS = [
+    "coinflip", "biased:0", "biased:1", "biased:0.6", "fixed:H", "fixed:T",
+    "alternator", "alternator:T",
+    "bestresponse:0.5", "bestresponse:0.75", "bestresponse:0.2",
+    *(f"exploiter:k={k}" for k in range(1, 9)),
+]
+SPEC = st.sampled_from(SPECS) | st.floats(0.0, 1.0).map(lambda p: f"biased:{p!r}")
+
+
+def transcript_arrays(t):
+    return t.choices1, t.choices2, t.gains1, t.gains2
+
+
+def assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+class TestOracle:
+    """Blind seats drawn as one column give the round-by-round transcript."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec1=SPEC,
+        spec2=SPEC,
+        n_rounds=st.integers(1, 300),
+        root_seed=st.integers(0, 2**64 - 1),
+        stake=st.floats(1e-6, 1e6),
+        rake=st.just(0.0) | st.floats(0.0, 10.0),
+    )
+    # A rake far below the stake's rounding once failed the transcript's
+    # zero-sum check.
+    @example(spec1="coinflip", spec2="coinflip", n_rounds=1, root_seed=0, stake=16384.0, rake=1e-9)
+    def test_play_and_spy_match_oracle(self, spec1, spec2, n_rounds, root_seed, stake, rake):
+        s1, s2 = parse_strategy(spec1), parse_strategy(spec2)
+        got = play_match(s1, s2, n_rounds, root_seed, stake=stake, rake=rake)
+        want = oracle_match(s1, s2, n_rounds, root_seed, stake=stake, rake=rake)
+        assert_same(transcript_arrays(got), want)
+        got = spy_match(s1, n_rounds, root_seed, stake=stake)
+        assert_same(transcript_arrays(got), oracle_spy(s1, n_rounds, root_seed, stake=stake))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_one_stream_per_seat(self, monkeypatch, spec):
+        # Fixed and Alternator draw nothing but still take their seat's stream.
+        keys = []
+
+        def counted(*key):
+            keys.append(key)
+            return stream(*key)
+
+        monkeypatch.setattr(games, "stream", counted)
+        play_match(parse_strategy(spec), parse_strategy(spec), 5, 3)
+        assert keys == [(3, 1), (3, 2)]
+        keys.clear()
+        spy_match(parse_strategy(spec), 5, 3)
+        assert keys == [(3, 1)]
 
 
 class TestResponderGain:
@@ -265,6 +390,17 @@ class TestParseAndExport:
             for i in range(n_rounds)
         ]
         assert buf.getvalue() == "\n".join(["round,choice1,choice2,gain1,gain2", *rows, ""])
+
+    def test_transcript_rejects_rake_mismatch(self):
+        with pytest.raises(DomainError, match="sum to -rake"):
+            GameTranscript(
+                choices1=np.array(["H"]),
+                choices2=np.array(["T"]),
+                gains1=np.array([-1.05]),
+                gains2=np.array([0.95]),
+                stake=1.0,
+                rake=0.2,
+            )
 
     def test_transcript_rejects_unbalanced(self):
         with pytest.raises(DomainError):

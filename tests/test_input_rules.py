@@ -1,4 +1,5 @@
-"""Counts, probabilities, betting fractions and seeds at every public entry point.
+"""Counts, probabilities, betting fractions, seeds, seats and other real
+arguments at every public entry point.
 
 Each entry point that takes one of these hands it to a rule in
 ``betlab.errors``.  A bad value -- NaN, an infinity, a bool, a string,
@@ -21,6 +22,7 @@ from betlab.betmath import (
     BetSpec,
     GrowthCurve,
     asymptotic_growth,
+    fractional_kelly,
     growth_curve,
     growth_derivative,
     mixed_sequence_fractions,
@@ -55,6 +57,7 @@ from betlab.millerclear import (
     short_selling_effect,
 )
 from betlab.seeding import stream
+from betlab.sysstats import Filter, TradeSeries, average_gain_per_year, ppgs_classify, summarize
 from betlab.wealthsim import (
     SimConfig,
     adaptive_policy_growth,
@@ -144,6 +147,35 @@ SEED_SITES = {
     "sample_normal_opinions.root_seed": lambda v: sample_normal_opinions(50.0, 10.0, 10, v),
 }
 
+# The seat a strategy plays from: 1 or 2.
+SEAT_SITES = {
+    "frequency_exploiter.player": lambda v: frequency_exploiter(["H"] * 5, k=1, player=v),
+    "FrequencyExploiter.begin.player": lambda v: FrequencyExploiter().begin(stream(1), v),
+    "BestResponder.column.player": lambda v: BestResponder(0.5).column(stream(1), v, 3),
+}
+SERIES = TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5])
+# Real arguments whose range rule is their own; a non-real must fail the
+# shared real-number rule before any comparison.
+REAL_SITES = {
+    "BetSpec.d": lambda v: BetSpec(0.6, v),
+    "fractional_kelly.alpha": lambda v: fractional_kelly(BET, v),
+    "SimConfig.w0": lambda v: SimConfig(BET, 0.1, 2, 2, 1, w0=v),
+    "GrationalProblem.loss_threshold": lambda v: GrationalProblem(BET, 10, DD, v, 0.1),
+    "solve.grid_step": lambda v: solve(problem(), BUDGET, grid_step=v),
+    "play_match.stake": lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, stake=v),
+    "play_match.rake": lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, rake=v),
+    "spy_match.stake": lambda v: spy_match(CoinFlip(), 10, 1, stake=v),
+    "responder_expected_gain.stake_total": lambda v: responder_expected_gain(0.6, 0.6, 10, v),
+    "ppgs_classify.alpha": lambda v: ppgs_classify(SERIES, alpha=v),
+    "average_gain_per_year.n_years": lambda v: average_gain_per_year(
+        summarize(SERIES, Filter.ALL), v
+    ),
+    "NormalOpinions.mean": lambda v: NormalOpinions(v, 10.0),
+    "NormalOpinions.sd": lambda v: NormalOpinions(50.0, v),
+    "sample_normal_opinions.mean": lambda v: sample_normal_opinions(v, 10.0, 10, 1),
+    "sample_normal_opinions.sd": lambda v: sample_normal_opinions(50.0, v, 10, 1),
+}
+
 # Not a number of the right kind, whatever the range.
 NOT_REAL = st.sampled_from([True, False, "0.5", "3", None, b"1", 1j, np.bool_(True)])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)])
@@ -170,6 +202,9 @@ BAD_NONNEGATIVE = NOT_INTEGER | NEGATIVE
 BAD_PROBABILITY = NOT_REAL | NON_FINITE | outside(0.0, 1.0, hi_closed=True)
 BAD_FRACTION = NOT_REAL | NON_FINITE | outside(0.0, 1.0, hi_closed=False)
 BAD_SEED = NOT_INTEGER | NEGATIVE | st.integers(min_value=2**64)
+BAD_SEAT = NOT_INTEGER | st.integers().filter(lambda n: n not in (1, 2)) | st.sampled_from(
+    [0, 3, np.int64(0), np.uint8(3)]
+)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -219,6 +254,27 @@ def test_seeds(name, value):
     rejects(SEED_SITES[name], value)
 
 
+@SETTINGS
+@given(name=st.sampled_from(sorted(SEAT_SITES)), value=BAD_SEAT)
+@example(name="frequency_exploiter.player", value=7)
+@example(name="frequency_exploiter.player", value=True)
+def test_seats(name, value):
+    rejects(SEAT_SITES[name], value)
+
+
+@pytest.mark.parametrize("name", sorted(SEAT_SITES))
+@pytest.mark.parametrize("seat", [1, 2, np.int64(2)])
+def test_good_seats(name, seat):
+    SEAT_SITES[name](seat)
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(REAL_SITES)), value=NOT_REAL)
+def test_reals(name, value):
+    with pytest.raises(DomainError, match="must be a real number"):
+        REAL_SITES[name](value)
+
+
 @pytest.mark.parametrize("stake_total", [math.inf, -math.inf, math.nan, -1.0])
 def test_stake_total_finite(stake_total):
     # 0 * inf at an unbiased p_h gave nan.
@@ -264,6 +320,7 @@ class TestRules:
             ("fraction", ("0.5", "f_max"), "f_max must be a real number, got '0.5'"),
             ("root_seed", (-1,), "root_seed must be a 64-bit unsigned integer, got -1"),
             ("root_seed", (1.0,), "root_seed must be an integer, got 1.0"),
+            ("real", (True, "odds"), "odds must be a real number, got True"),
         ],
     )
     def test_message(self, rule, args, message):
@@ -276,6 +333,7 @@ class TestRules:
         assert type(errors.root_seed(np.uint64(2**64 - 1))) is int
         assert type(errors.probability(np.float32(0.5), "p")) is float
         assert errors.fraction(0) == 0.0
+        assert type(errors.real(np.int64(-3), "x")) is float
 
 
 def test_seed_env_message(monkeypatch):
