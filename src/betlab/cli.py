@@ -165,6 +165,8 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
 def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
     seed = _resolve_seed(args.seed)
     if args.spy:
+        if args.p2 is not None or args.rake:
+            raise DomainError("--p2 and --rake are not taken with --spy")
         transcript = games.spy_match(args.p1, args.rounds, seed, stake=args.stake)
     else:
         if args.p2 is None:

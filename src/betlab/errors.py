@@ -53,10 +53,14 @@ def count(value: object, what: str) -> int:
 
 
 def real(value: object, what: str) -> float:
-    """``value`` as a float; a bool, string or other non-real raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    """``value`` as a float; a bool, string, other non-real or a number
+    beyond double range (such as ``10**400``) raises."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(f"{what} must be a real number, got {value!r}")
 
 
 def probability(value: object, what: str) -> float:

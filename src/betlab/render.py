@@ -14,7 +14,6 @@ their cells into the same bytes without a writer.
 from __future__ import annotations
 
 import csv
-from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 _FLOAT = "{:.12g}".format
@@ -36,12 +35,8 @@ def floats(values: Iterable[float]) -> Iterator[str]:
     return map(_FLOAT, values)
 
 
-def csv_writer(fh: IO[str]):
-    return csv.writer(fh, lineterminator="\n")
-
-
 def write_rows(fh: IO[str], rows: Iterable[Sequence[object]]) -> None:
-    csv_writer(fh).writerows(map(cell, row) for row in rows)
+    csv.writer(fh, lineterminator="\n").writerows(map(cell, row) for row in rows)
 
 
 def write_columns(fh: IO[str], columns: Sequence[Iterable[str]]) -> None:
@@ -50,9 +45,6 @@ def write_columns(fh: IO[str], columns: Sequence[Iterable[str]]) -> None:
     The cells must need no quoting: no ``,``, ``"`` or line break, and no
     empty cell alone on its row.
     """
-    comma, newline = repeat(","), repeat("\n")
-    parts: list[Iterable[str]] = []
-    for column in columns:
-        parts += (column, comma)
-    parts[-1] = newline
-    fh.write("".join(chain.from_iterable(zip(*parts))))
+    text = "\n".join(map(",".join, zip(*columns)))
+    if text:
+        fh.write(text + "\n")

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -281,32 +281,21 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     return Ppgs.INDETERMINATE
 
 
-def _leading(convert: Callable[[str], object], cells: Iterable[str]) -> list:
-    """``convert`` of each cell, up to the first one it rejects.
-
-    ``list.extend`` keeps what it appended before an exception, so the
-    length of the result is the index of the first bad cell.
-    """
-    out: list = []
-    try:
-        out.extend(map(convert, cells))
-    except (TypeError, ValueError):
-        pass
-    return out
-
-
-def _row_error(line: int, row: list[str]) -> str:
+def _row_error(line: int, row: list[str]) -> str | None:
     """The message for a bad data row: its first failed check of side,
-    period_id and pnl.  A short row's missing cells read as None."""
+    period_id and pnl, or None for a good row.  A short row's missing
+    cells read as None."""
     period_id, side, pnl = (row + [None, None])[:3]
     if (side or "").strip().upper() not in _SIDES:
         return f"line {line}: side must be one of L,S,F, got {side!r}"
     try:
         int(period_id)
-        float(pnl)
+        value = float(pnl)
     except (TypeError, ValueError) as exc:  # TypeError: a short row
         return f"line {line}: {exc}"
-    return f"line {line}: pnl must be finite, got {pnl!r}"
+    if not math.isfinite(value):
+        return f"line {line}: pnl must be finite, got {pnl!r}"
+    return None
 
 
 def read_trades_csv(fh: IO[str]) -> TradeSeries:
@@ -314,8 +303,9 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
 
     Sides may be lower case and padded, cells after the third are
     ignored, and blank lines are skipped.  Each column is converted in
-    one pass; the error names the first bad row by its line number,
-    blank lines not counted.
+    one pass and checked by ``TradeSeries``.  Only when that fails are
+    the rows scanned, so that the error names the first bad row by its
+    line number, blank lines not counted.
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -323,25 +313,20 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
     if header is None or [c.strip() for c in header] != expected:
         raise DomainError(f"expected header {','.join(expected)}, got {header}")
     rows = list(filter(None, reader))  # a blank line reads as []
-    n = len(rows)
-    short = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=n) < 3)
-    full = rows[: short[0]] if short.size else rows  # the rows before the first short one
-    sides = list(map(str.upper, map(str.strip, map(itemgetter(1), full))))
-    period_id = _leading(int, map(itemgetter(0), full))
-    pnl = np.array(_leading(float, map(itemgetter(2), full)), dtype=float)
-
-    # The first bad row is the least of each check's first failing index.
-    bad_side = n if set(sides).issubset(_SIDES) else next(
-        k for k, letter in enumerate(sides) if letter not in _SIDES
-    )
-    finite = np.isfinite(pnl)
-    bad_pnl = pnl.size if finite.all() else int(finite.argmin())
-    first_bad = min(len(full), bad_side, len(period_id), bad_pnl)
-    if first_bad < n:
-        raise DomainError(_row_error(first_bad + 2, rows[first_bad]))
-    if not n:
+    if not rows:
         raise DomainError("no data rows in trades CSV")
-    return TradeSeries(period_id=period_id, side=sides, pnl=pnl)
+    try:
+        return TradeSeries(
+            period_id=list(map(int, map(itemgetter(0), rows))),
+            side=list(map(str.upper, map(str.strip, map(itemgetter(1), rows)))),
+            pnl=list(map(float, map(itemgetter(2), rows))),
+        )
+    except (IndexError, ValueError):  # IndexError: a short row
+        for line, row in enumerate(rows, start=2):
+            message = _row_error(line, row)
+            if message is not None:
+                raise DomainError(message) from None
+        raise
 
 
 def display_fields(row: SummaryRow) -> dict[str, float | int | None]:

@@ -232,6 +232,16 @@ class TestPennies:
         assert blob["mean_gain2"] == 1.0
         assert blob["total_gain1"] == -100.0
 
+    @pytest.mark.parametrize(
+        "extra", [["--p2", "fixed:H"], ["--rake", "0.5"], ["--rake", "0.5", "--p2", "fixed:H"]]
+    )
+    def test_spy_rejects_p2_and_rake(self, capsys, extra):
+        argv = ["pennies", "--p1", "coinflip", "--rounds", "10", "--spy", *extra]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --p2 and --rake are not taken with --spy\n"
+
     def test_transcript_csv(self, capsys):
         out = out_of(
             capsys,

@@ -177,10 +177,12 @@ REAL_SITES = {
 }
 
 # Not a number of the right kind, whatever the range.
-NOT_REAL = st.sampled_from([True, False, "0.5", "3", None, b"1", 1j, np.bool_(True)])
+NOT_NUMBER = st.sampled_from([True, False, "0.5", "3", None, b"1", 1j, np.bool_(True)])
+# Nor a real that a double can hold; 10**400 is a good count, not a good real.
+NOT_REAL = NOT_NUMBER | st.just(10**400)
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)])
 NOT_INTEGER = st.one_of(
-    NOT_REAL,
+    NOT_NUMBER,
     NON_FINITE,
     st.sampled_from([2.5, 1.0, 0.0, np.float64(3.0), np.float32(2.0)]),
     st.floats(),

@@ -429,6 +429,12 @@ MALFORMED = {
                           "error: period_ids must be strictly increasing\n"),
     "first-flat-named": (HEADER + "1,L,1\n2,F,-0.25\n3,F,7\n", 1,
                          "error: flat period 2 carries pnl -0.25\n"),
+    "line-error-before-flat": (HEADER + "1,F,2\n2,L,nan\n", 1,
+                               "error: line 3: pnl must be finite, got 'nan'\n"),
+    "side-word": (HEADER + "1,LONG,1\n", 1,
+                  "error: line 2: side must be one of L,S,F, got 'LONG'\n"),
+    "order-before-flat-pnl": (HEADER + "2,L,1\n1,F,3\n", 1,
+                              "error: period_ids must be strictly increasing\n"),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betlab import render
+from betlab import render, sysstats
 from betlab.errors import DomainError, EmptySelection
 from betlab.sysstats import (
     _ttest_pvalue,
@@ -352,6 +352,20 @@ class TestCsvAndFormatting:
     def test_padded_header(self):
         series = read_trades_csv(io.StringIO("period_id, side , pnl\n1,L,3.5\n"))
         assert (series.side.tolist(), series.pnl.tolist()) == (["L"], [3.5])
+
+    def test_valid_file_scans_no_row(self, monkeypatch):
+        # Rows are scanned only to name the bad line of a bad file.
+        def scan(line, row):
+            raise AssertionError(f"row scan at line {line}")
+
+        monkeypatch.setattr(sysstats, "_row_error", scan)
+        text = 'period_id,side,pnl\n 1 , l ,"2.5"\n2,s, -1 \n\n"3",F ,0,note\n'
+        series = read_trades_csv(io.StringIO(text))
+        assert series.period_id.tolist() == [1, 2, 3]
+        assert series.side.tolist() == ["L", "S", "F"]
+        assert series.pnl.tolist() == [2.5, -1.0, 0.0]
+        with pytest.raises(AssertionError, match="line 2"):
+            read_trades_csv(io.StringIO("period_id,side,pnl\n1,X,1\n"))
 
     def test_text_table_column_order_and_sign(self):
         text = format_summary_text([("All", summarize(FIXTURE, Filter.ALL))])
