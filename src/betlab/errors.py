@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the input rules.
 
-Every public entry point checks its counts, probabilities, betting
-fractions and seeds with the functions below, so each rule and its
-message are written once.  Each rejects NaN, infinities, bools, strings
-and out-of-range values with a :class:`DomainError`; numpy numbers pass.
+Every public entry point checks its counts, probabilities, betting fractions,
+seeds and other reals with the functions below, so each rule and its message
+are written once.  Each rejects NaN, infinities, bools, strings and
+out-of-range values with a :class:`DomainError`; numpy numbers pass.
 """
 
 import numbers
@@ -34,6 +34,17 @@ class NoClear(DomainError):
     """Supply exceeds the number of potential buyers; the auction cannot clear."""
 
 
+def shown(value: object, text=str) -> str:
+    """``text(value)`` for an error message; an int past Python's digit limit
+    for text is named by its bit length.  Call it only on the error path."""
+    try:
+        return text(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def integer(value: object, what: str) -> int:
     """``value`` as an int; a bool, float, string or other non-integer raises."""
     if not isinstance(value, bool):
@@ -41,14 +52,14 @@ def integer(value: object, what: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+    raise DomainError(f"{what} must be an integer, got {shown(value, repr)}")
 
 
 def count(value: object, what: str) -> int:
     """``value`` as an int >= 1."""
     n = integer(value, what)
     if n < 1:
-        raise DomainError(f"{what} must be >= 1, got {value}")
+        raise DomainError(f"{what} must be >= 1, got {shown(value)}")
     return n
 
 
@@ -60,28 +71,33 @@ def real(value: object, what: str) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise DomainError(f"{what} must be a real number, got {value!r}")
+    raise DomainError(f"{what} must be a real number, got {shown(value, repr)}")
+
+
+def within(value: object, what: str, low: float, high: float, ends: str = "[]") -> float:
+    """``value`` as a float between ``low`` and ``high`` (``math.inf`` for no
+    bound); ``ends`` marks each end closed, ``[`` ``]``, or open, ``(`` ``)``."""
+    x = real(value, what)
+    above = low <= x if ends[0] == "[" else low < x
+    below = x <= high if ends[1] == "]" else x < high
+    if not (above and below):
+        raise DomainError(f"{what} must lie in {ends[0]}{low}, {high}{ends[1]}, got {shown(value)}")
+    return x
 
 
 def probability(value: object, what: str) -> float:
     """``value`` as a float in [0, 1]."""
-    p = real(value, what)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{what} must lie in [0, 1], got {value}")
-    return p
+    return within(value, what, 0, 1)
 
 
 def fraction(value: object, what: str = "betting fraction") -> float:
     """``value`` as a float in [0, 1)."""
-    f = real(value, what)
-    if not 0.0 <= f < 1.0:
-        raise DomainError(f"{what} must lie in [0, 1), got {value}")
-    return f
+    return within(value, what, 0, 1, "[)")
 
 
 def root_seed(value: object, what: str = "root_seed") -> int:
     """``value`` as an int in [0, 2**64), numpy integers included."""
     seed = integer(value, what)
     if not 0 <= seed < 2**64:
-        raise DomainError(f"{what} must be a 64-bit unsigned integer, got {value!r}")
+        raise DomainError(f"{what} must be a 64-bit unsigned integer, got {shown(value, repr)}")
     return seed

@@ -25,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import DomainError, count, integer, probability, real
+from .errors import DomainError, count, integer, probability, shown, within
 from .seeding import stream
 
 H = "H"
@@ -90,7 +90,7 @@ def _replies(player: int) -> dict[str, str]:
     """A seat's best reply to each predicted opponent choice: player 1
     wins on a match, player 2 on a mismatch."""
     if integer(player, "player") not in (1, 2):
-        raise DomainError(f"player must be 1 or 2, got {player!r}")
+        raise DomainError(f"player must be 1 or 2, got {shown(player, repr)}")
     return {H: H, T: T} if player == 1 else _OTHER
 
 
@@ -147,7 +147,7 @@ class FrequencyExploiter(Strategy):
 
     def __init__(self, k: int = 2) -> None:
         if not 1 <= integer(k, "context order") <= 8:
-            raise DomainError(f"context order must lie in 1..8, got {k}")
+            raise DomainError(f"context order must lie in 1..8, got {shown(k)}")
         self.k = k
 
     def begin(self, rng: np.random.Generator, player: int) -> None:
@@ -204,13 +204,13 @@ def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> Ga
 
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
     if not 1 <= integer(n_rounds, "n_rounds") <= np.iinfo(np.intp).max:
-        raise DomainError(f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {n_rounds}")
-    if not (math.isfinite(real(stake, "stake")) and stake > 0.0):
-        raise DomainError(f"stake must be positive and finite, got {stake}")
-    if not (math.isfinite(real(rake, "rake")) and rake >= 0.0):
-        raise DomainError(f"rake must be nonnegative and finite, got {rake}")
+        raise DomainError(
+            f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {shown(n_rounds)}"
+        )
+    within(stake, "stake", 0, math.inf, "()")
+    within(rake, "rake", 0, math.inf, "[)")
     if not math.isfinite(n_rounds * (stake + rake)):
-        raise DomainError(f"stake {stake} and rake {rake} over {n_rounds} rounds overflow")
+        raise DomainError(f"stake {stake} and rake {rake} over {shown(n_rounds)} rounds overflow")
 
 
 def _column(strategy: Strategy, root_seed: int, player: int, n_rounds: int) -> np.ndarray | None:
@@ -285,10 +285,7 @@ def responder_expected_gain(
     probability(p_h, "p_h")
     probability(x, "x")
     count(n_rounds, "n_rounds")
-    if not real(stake_total, "stake_total") >= 0.0:
-        raise DomainError(f"stake_total must be nonnegative, got {stake_total}")
-    if math.isinf(stake_total):
-        raise DomainError(f"stake_total must be finite, got {stake_total}")
+    within(stake_total, "stake_total", 0, math.inf, "[)")
     return (2.0 * p_h - 1.0) * (2.0 * x - 1.0) * stake_total
 
 

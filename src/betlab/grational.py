@@ -44,9 +44,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .betmath import BetSpec, GrowthCurve
+from .betmath import BetSpec
 from .errors import (BudgetError, DomainError, InfeasibleThreshold, count, fraction,
-                     probability, real, root_seed)
+                     probability, real, root_seed, within)
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
@@ -110,9 +110,6 @@ class GrationalGrid:
     p_violation: np.ndarray
     se_violation: np.ndarray
     feasible: np.ndarray
-
-    def growth_curve(self) -> GrowthCurve:
-        return GrowthCurve(fractions=self.f, rates=self.e_growth)
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,7 @@ def solve(
     incurs zero loss, so with a positive threshold the feasible set is
     never empty.
     """
-    if not _MIN_GRID_STEP <= real(grid_step, "grid_step") <= 0.1:
-        raise DomainError(f"grid_step must lie in [{_MIN_GRID_STEP}, 0.1], got {grid_step}")
+    within(grid_step, "grid_step", _MIN_GRID_STEP, 0.1)
     fraction(f_max, "f_max")
     if budget.n_paths < _MIN_PATHS:
         raise BudgetError(

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoClear, count, integer, real
+from .errors import DomainError, NoClear, count, integer, shown, within
 from .seeding import stream
 
 
@@ -42,7 +42,8 @@ class NormalOpinions:
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        _check_normal(self.mean, self.sd)
+        within(self.mean, "mean", -math.inf, math.inf, "()")
+        within(self.sd, "sd", 0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,6 @@ class EmpiricalOpinions:
         if self.truncate:
             samples = np.maximum(samples, 0.0)
         object.__setattr__(self, "samples", samples)
-
-
-def _check_normal(mean: float, sd: float) -> None:
-    if not math.isfinite(real(mean, "mean")):
-        raise DomainError(f"mean must be finite, got {mean}")
-    if not (math.isfinite(real(sd, "sd")) and sd >= 0.0):
-        raise DomainError(f"sd must be finite and nonnegative, got {sd}")
 
 
 OpinionDistribution = NormalOpinions | EmpiricalOpinions
@@ -98,7 +92,7 @@ class AuctionSpec:
         """Demand-curve level of the marginal buyer: 1 - supply/M."""
         if self.supply > self.m_buyers:
             raise NoClear(
-                f"supply {self.supply} exceeds the {self.m_buyers} potential buyers"
+                f"supply {shown(self.supply)} exceeds the {shown(self.m_buyers)} potential buyers"
             )
         return 1.0 - self.supply / self.m_buyers
 
@@ -109,7 +103,7 @@ def _kth_highest(dist: EmpiricalOpinions, auction: AuctionSpec, k: int) -> float
     if samples.size != auction.m_buyers:
         raise DomainError(
             f"empirical mode needs one estimate per buyer: "
-            f"{samples.size} samples vs M={auction.m_buyers}"
+            f"{samples.size} samples vs M={shown(auction.m_buyers)}"
         )
     # k-th highest = element at ascending index size - k.
     return float(np.partition(samples, samples.size - k)[samples.size - k])
@@ -157,7 +151,7 @@ def short_selling_effect(
     prices = []
     for s in short_supplies:
         if integer(s, "short supply") < 0:
-            raise DomainError(f"short supply must be nonnegative, got {s}")
+            raise DomainError(f"short supply must be nonnegative, got {shown(s)}")
         prices.append(
             clearing_price(dist, dataclasses.replace(auction, short_supply=int(s)))
         )
@@ -178,8 +172,8 @@ def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
         raise DomainError("re-auction is defined for empirical opinion samples")
     if 2 * auction.supply > auction.m_buyers:
         raise NoClear(
-            f"re-auction needs {2 * auction.supply} willing buyers, "
-            f"only {auction.m_buyers} exist"
+            f"re-auction needs {shown(2 * auction.supply)} willing buyers, "
+            f"only {shown(auction.m_buyers)} exist"
         )
     return _kth_highest(dist, auction, 2 * auction.supply)
 
@@ -189,7 +183,7 @@ def sample_normal_opinions(
 ) -> EmpiricalOpinions:
     """Draw one estimate per buyer from Normal(mean, sd), seeded stream."""
     count(m_buyers, "m_buyers")
-    _check_normal(mean, sd)
+    NormalOpinions(mean, sd)
     with np.errstate(over="ignore"):
         draws = mean + sd * stream(root_seed).standard_normal(m_buyers)
     if not np.all(np.isfinite(draws)):

@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Mapping
 
 from .betmath import BetSpec, kelly_fraction
-from .errors import DomainError
+from .errors import DomainError, within
 
 LEVELS = frozenset({"--", "-", "=", "+", "++", "?", "NA"})
 
@@ -190,8 +190,8 @@ def kelly_multiplier(
     table = DEFAULT_MULTIPLIERS if schedule is None else schedule
     if set(table) != set(Phase):
         raise DomainError("schedule must cover exactly the four phases")
-    if any(not 0.0 <= table[p] <= 1.0 for p in Phase):
-        raise DomainError("multipliers must lie in [0, 1]")
+    for p in Phase:
+        within(table[p], f"{p.value} multiplier", 0, 1)
     if not (
         table[Phase.EUREKA] == table[Phase.EARLY_COPYCAT]
         > table[Phase.LATE_COPYCAT]

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .errors import DomainError, integer
+from .errors import DomainError, integer, shown
 
 # Default root seed used by the CLI when neither --seed nor the
 # GRATIONAL_SEED environment variable is given.
@@ -54,7 +54,7 @@ def _key(value: object) -> int:
     """Check a stream key: a nonnegative integer."""
     k = integer(value, "stream key")
     if k < 0:
-        raise DomainError(f"stream keys must be nonnegative, got {value!r}")
+        raise DomainError(f"stream keys must be nonnegative, got {shown(value, repr)}")
     return k
 
 
@@ -120,9 +120,6 @@ class _KeyedSeedSequence:
         if n_words == 4 and np.dtype(dtype) == np.uint64:
             return self._words
         return self._full().generate_state(n_words, dtype)
-
-    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
-        return self._full().spawn(n_children)
 
     def __getattr__(self, name: str):
         return getattr(self._full(), name)

@@ -42,7 +42,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import render
-from .errors import DomainError, EmptySelection, real
+from .errors import DomainError, EmptySelection, within
 from .wealthsim import LossKind, path_losses
 
 # Exact runs-test enumeration up to this length; normal approximation
@@ -230,8 +230,7 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
 
 def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
     """Total P&L averaged over the number of years covered."""
-    if not (math.isfinite(real(n_years, "n_years")) and n_years > 0):
-        raise DomainError(f"n_years must be positive and finite, got {n_years}")
+    within(n_years, "n_years", 0, math.inf, "()")
     avg = row.pnltot / n_years
     if not math.isfinite(avg):
         raise DomainError(f"average gain per year overflows over {n_years} years")
@@ -261,8 +260,7 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     Zero-variance series skip the test and classify by the sign of the
     (constant) mean.
     """
-    if not 0.0 < real(alpha, "alpha") < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    within(alpha, "alpha", 0, 1, "()")
     pnl = series.pnl[series.side != "F"]
     if pnl.size < 30:
         return Ppgs.INDETERMINATE

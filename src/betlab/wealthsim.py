@@ -33,7 +33,7 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import DomainError, count, fraction, real, root_seed
+from .errors import DomainError, count, fraction, root_seed, shown, within
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -68,8 +68,7 @@ class SimConfig:
         fraction(self.f)
         count(self.n_steps, "n_steps")
         count(self.n_paths, "n_paths")
-        if not real(self.w0, "initial wealth") > 0.0:
-            raise DomainError(f"initial wealth must be positive, got {self.w0}")
+        within(self.w0, "initial wealth", 0, math.inf, "()")
         root_seed(self.root_seed)
 
 
@@ -116,7 +115,9 @@ def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> 
     """
     n_steps, n_paths = count(n_steps, "n_steps"), count(n_paths, "n_paths")
     if n_paths * n_steps > np.iinfo(np.intp).max:
-        raise DomainError(f"{n_paths} paths of {n_steps} steps exceed what numpy can index")
+        raise DomainError(
+            f"{shown(n_paths)} paths of {shown(n_steps)} steps exceed what numpy can index"
+        )
     wins = np.empty((n_paths, n_steps), dtype=bool)
     for k in range(n_paths):
         wins[k] = stream(root_seed, k).random(n_steps) < bet.p

@@ -125,6 +125,10 @@ class TestGrowthCurve:
         g2 = asymptotic_growth(bet, 0.2)
         assert 0.0 < g1 < g2
 
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(DomainError, match="equal length"):
+            GrowthCurve(fractions=np.array([0.0, 0.1]), rates=np.array([0.0]))
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):
             GrowthCurve(fractions=np.array([0.2, 0.1]), rates=np.array([0.0, 0.0]))

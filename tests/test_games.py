@@ -38,6 +38,20 @@ MATCHING_PENNIES = {
 
 
 class TestPayoffs:
+    def test_alternator_start_is_a_choice(self):
+        with pytest.raises(DomainError, match="must be H or T"):
+            Alternator("X")
+
+    def test_transcript_arrays_must_match(self):
+        with pytest.raises(DomainError, match="equal length"):
+            GameTranscript(
+                choices1=np.array(["H", "T"]),
+                choices2=np.array(["H"]),
+                gains1=np.array([1.0, -1.0]),
+                gains2=np.array([-1.0, 1.0]),
+                stake=1.0,
+            )
+
     def test_matching_pennies_cells(self):
         # play_match and spy_match apply the payoff rule cell by cell.
         for stake in (1.0, 2.5):

@@ -95,6 +95,10 @@ class TestValidation:
         with pytest.raises(InfeasibleThreshold):
             GrationalProblem(BET, 10, LossKind.WORST_LOSS, 0.0, 0.5)
 
+    def test_loss_kind_must_be_the_enum(self):
+        with pytest.raises(DomainError, match="LossKind"):
+            GrationalProblem(BET, 10, "drawdown", 0.1, 0.5)
+
     def test_bad_max_prob(self):
         with pytest.raises(DomainError):
             GrationalProblem(BET, 10, LossKind.WORST_LOSS, 0.1, 1.5)
@@ -294,6 +298,20 @@ class TestFirstViolationSearch:
 
 
 class TestCapSweep:
+    def test_no_feasible_fraction(self):
+        grid = GrationalGrid(
+            f=np.array([0.0, 0.1]),
+            e_growth=np.array([0.0, 0.01]),
+            se_growth=np.zeros(2),
+            p_violation=np.array([0.2, 0.3]),
+            se_violation=np.zeros(2),
+            feasible=np.array([True, True]),
+        )
+        solution = best_feasible(grid, 0.1)
+        assert not solution.feasible
+        assert solution.f_star == 0.0
+        assert not solution.grid.feasible.any()
+
     def test_best_feasible_matches_solve_per_cap(self):
         budget = McBudget(1500, 41)
         problem = GrationalProblem(BET, 60, LossKind.DRAWDOWN, 0.3, 0.5)

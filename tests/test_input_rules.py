@@ -41,6 +41,7 @@ from betlab.games import (
     spy_match,
 )
 from betlab.grational import (
+    _MIN_GRID_STEP,
     GrationalGrid,
     GrationalProblem,
     LossKind,
@@ -56,6 +57,7 @@ from betlab.millerclear import (
     sample_normal_opinions,
     short_selling_effect,
 )
+from betlab.popp import DEFAULT_MULTIPLIERS, Phase, kelly_multiplier
 from betlab.seeding import stream
 from betlab.sysstats import Filter, TradeSeries, average_gain_per_year, ppgs_classify, summarize
 from betlab.wealthsim import (
@@ -154,32 +156,60 @@ SEAT_SITES = {
     "BestResponder.column.player": lambda v: BestResponder(0.5).column(stream(1), v, 3),
 }
 SERIES = TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5])
+INF = math.inf
+# Real arguments checked by ``errors.within``: the site, then the interval's
+# ends and whether each is closed ``[ ]`` or open ``( )``.  Every end at
+# infinity is open.
+RANGE_SITES = {
+    "BetSpec.d": (lambda v: BetSpec(0.6, v), 0, INF, "()"),
+    "fractional_kelly.alpha": (lambda v: fractional_kelly(BET, v), 0, 1, "(]"),
+    "SimConfig.w0": (lambda v: SimConfig(BET, 0.1, 2, 2, 1, w0=v), 0, INF, "()"),
+    # A small f_max keeps the grid short at the finest step.
+    "solve.grid_step": (
+        lambda v: solve(problem(), BUDGET, grid_step=v, f_max=0.001),
+        _MIN_GRID_STEP,
+        0.1,
+        "[]",
+    ),
+    "play_match.stake": (
+        lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, stake=v), 0, INF, "()"
+    ),
+    "play_match.rake": (
+        lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, rake=v), 0, INF, "[)"
+    ),
+    "spy_match.stake": (lambda v: spy_match(CoinFlip(), 10, 1, stake=v), 0, INF, "()"),
+    "responder_expected_gain.stake_total": (
+        lambda v: responder_expected_gain(0.6, 0.6, 10, v), 0, INF, "[)"
+    ),
+    "ppgs_classify.alpha": (lambda v: ppgs_classify(SERIES, alpha=v), 0, 1, "()"),
+    "average_gain_per_year.n_years": (
+        lambda v: average_gain_per_year(summarize(SERIES, Filter.ALL), v), 0, INF, "()"
+    ),
+    "NormalOpinions.mean": (lambda v: NormalOpinions(v, 10.0), -INF, INF, "()"),
+    "NormalOpinions.sd": (lambda v: NormalOpinions(50.0, v), 0, INF, "[)"),
+    "sample_normal_opinions.mean": (
+        lambda v: sample_normal_opinions(v, 10.0, 10, 1), -INF, INF, "()"
+    ),
+    "sample_normal_opinions.sd": (
+        lambda v: sample_normal_opinions(50.0, v, 10, 1), 0, INF, "[)"
+    ),
+    "kelly_multiplier": (
+        lambda v: kelly_multiplier(Phase.CRASH, {**DEFAULT_MULTIPLIERS, Phase.CRASH: v}),
+        0,
+        1,
+        "[]",
+    ),
+}
 # Real arguments whose range rule is their own; a non-real must fail the
 # shared real-number rule before any comparison.
-REAL_SITES = {
-    "BetSpec.d": lambda v: BetSpec(0.6, v),
-    "fractional_kelly.alpha": lambda v: fractional_kelly(BET, v),
-    "SimConfig.w0": lambda v: SimConfig(BET, 0.1, 2, 2, 1, w0=v),
+REAL_SITES = {name: site for name, (site, *_) in RANGE_SITES.items()} | {
     "GrationalProblem.loss_threshold": lambda v: GrationalProblem(BET, 10, DD, v, 0.1),
-    "solve.grid_step": lambda v: solve(problem(), BUDGET, grid_step=v),
-    "play_match.stake": lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, stake=v),
-    "play_match.rake": lambda v: play_match(CoinFlip(), CoinFlip(), 10, 1, rake=v),
-    "spy_match.stake": lambda v: spy_match(CoinFlip(), 10, 1, stake=v),
-    "responder_expected_gain.stake_total": lambda v: responder_expected_gain(0.6, 0.6, 10, v),
-    "ppgs_classify.alpha": lambda v: ppgs_classify(SERIES, alpha=v),
-    "average_gain_per_year.n_years": lambda v: average_gain_per_year(
-        summarize(SERIES, Filter.ALL), v
-    ),
-    "NormalOpinions.mean": lambda v: NormalOpinions(v, 10.0),
-    "NormalOpinions.sd": lambda v: NormalOpinions(50.0, v),
-    "sample_normal_opinions.mean": lambda v: sample_normal_opinions(v, 10.0, 10, 1),
-    "sample_normal_opinions.sd": lambda v: sample_normal_opinions(50.0, v, 10, 1),
 }
 
 # Not a number of the right kind, whatever the range.
 NOT_NUMBER = st.sampled_from([True, False, "0.5", "3", None, b"1", 1j, np.bool_(True)])
 # Nor a real that a double can hold; 10**400 is a good count, not a good real.
-NOT_REAL = NOT_NUMBER | st.just(10**400)
+NOT_REAL = NOT_NUMBER | st.sampled_from([10**400, 10**5000, -(10**5000)])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)])
 NOT_INTEGER = st.one_of(
     NOT_NUMBER,
@@ -187,7 +217,8 @@ NOT_INTEGER = st.one_of(
     st.sampled_from([2.5, 1.0, 0.0, np.float64(3.0), np.float32(2.0)]),
     st.floats(),
 )
-NEGATIVE = st.integers(max_value=-1) | st.sampled_from([np.int64(-1), -(2**70)])
+# -(10**5000) has more digits than Python turns into text.
+NEGATIVE = st.integers(max_value=-1) | st.sampled_from([np.int64(-1), -(2**70), -(10**5000)])
 
 
 def outside(lo: float, hi: float, hi_closed: bool) -> st.SearchStrategy:
@@ -203,9 +234,9 @@ BAD_COUNT = NOT_INTEGER | NEGATIVE | st.just(0)
 BAD_NONNEGATIVE = NOT_INTEGER | NEGATIVE
 BAD_PROBABILITY = NOT_REAL | NON_FINITE | outside(0.0, 1.0, hi_closed=True)
 BAD_FRACTION = NOT_REAL | NON_FINITE | outside(0.0, 1.0, hi_closed=False)
-BAD_SEED = NOT_INTEGER | NEGATIVE | st.integers(min_value=2**64)
+BAD_SEED = NOT_INTEGER | NEGATIVE | st.integers(min_value=2**64) | st.just(10**5000)
 BAD_SEAT = NOT_INTEGER | st.integers().filter(lambda n: n not in (1, 2)) | st.sampled_from(
-    [0, 3, np.int64(0), np.uint8(3)]
+    [0, 3, np.int64(0), np.uint8(3), 10**5000, -(10**5000)]
 )
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -272,9 +303,66 @@ def test_good_seats(name, seat):
 
 @SETTINGS
 @given(name=st.sampled_from(sorted(REAL_SITES)), value=NOT_REAL)
+@example(name="kelly_multiplier", value="0")
 def test_reals(name, value):
     with pytest.raises(DomainError, match="must be a real number"):
         REAL_SITES[name](value)
+
+
+def range_points(low, high, ends):
+    """The values an interval refuses at its edges (NaN, both infinities,
+    the double just past each end, an open end) and the closed ends it holds."""
+    refused = [math.nan, -INF, INF, math.nextafter(low, -INF), math.nextafter(high, INF)]
+    held = []
+    for end, bracket in ((low, ends[0]), (high, ends[1])):
+        (held if bracket in "[]" else refused).append(end)
+    return refused, held
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(RANGE_SITES)), refuse=st.booleans(), data=st.data())
+def test_ranges(name, refuse, data):
+    site, low, high, ends = RANGE_SITES[name]
+    refused, held = range_points(low, high, ends)
+    if refuse:
+        with pytest.raises(DomainError, match="must lie in"):
+            site(data.draw(st.sampled_from(refused)))
+        return
+    interior = st.floats(
+        min_value=None if low == -INF else low,
+        max_value=None if high == INF else high,
+        exclude_min=low != -INF,
+        exclude_max=high != INF,
+        allow_nan=False,
+        allow_infinity=False,
+        allow_subnormal=False,
+    )
+    value = data.draw(st.sampled_from(held) | interior if held else interior)
+    # The range rule lets the value through; another rule of the site (the
+    # schedule's order, an overflowing product) may still refuse it.
+    try:
+        site(value)
+    except DomainError as exc:
+        assert "must lie in" not in str(exc)
+
+
+HUGE_INT_CALLS = {
+    "root_seed": lambda: errors.root_seed(10**5000),
+    "real": lambda: errors.real(10**5000, "x"),
+    "count": lambda: errors.count(-(10**5000), "n"),
+    "probability": lambda: errors.probability(10**5000, "p"),
+    "outcome_matrix": lambda: outcome_matrix(BET, 10**5000, 2, 1),
+    "play_match": lambda: play_match(CoinFlip(), CoinFlip(), 10**5000, 1),
+    "AuctionSpec.quantile_level": lambda: AuctionSpec(10**5000, 10).quantile_level(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INT_CALLS))
+def test_huge_ints(name):
+    # str() of an int past 4300 digits raises ValueError; the message names
+    # the int by its bit length instead.
+    with pytest.raises(DomainError, match="int of 16610 bits"):
+        HUGE_INT_CALLS[name]()
 
 
 @pytest.mark.parametrize("stake_total", [math.inf, -math.inf, math.nan, -1.0])
@@ -323,6 +411,15 @@ class TestRules:
             ("root_seed", (-1,), "root_seed must be a 64-bit unsigned integer, got -1"),
             ("root_seed", (1.0,), "root_seed must be an integer, got 1.0"),
             ("real", (True, "odds"), "odds must be a real number, got True"),
+            ("within", (-1.0, "odds", 0, math.inf, "()"), "odds must lie in (0, inf), got -1.0"),
+            ("within", (math.nan, "sd", 0, math.inf, "[)"), "sd must lie in [0, inf), got nan"),
+            ("within", (0, "alpha", 0, 1, "(]"), "alpha must lie in (0, 1], got 0"),
+            ("count", (-(10**5000), "n"), "n must be >= 1, got a negative int of 16610 bits"),
+            (
+                "root_seed",
+                (10**5000,),
+                "root_seed must be a 64-bit unsigned integer, got an int of 16610 bits",
+            ),
         ],
     )
     def test_message(self, rule, args, message):

@@ -247,3 +247,7 @@ class TestSampling:
             sample_normal_opinions(50.0, 1.0, 0, root_seed=1)
         with pytest.raises(DomainError):
             NormalOpinions(50.0, -0.5)
+
+    def test_rejects_overflowing_draws(self):
+        with pytest.raises(DomainError, match="overflow"):
+            sample_normal_opinions(1e308, 1e308, 10, 1)

@@ -57,6 +57,10 @@ class TestClassify:
         ranking = classify_phase(phase_table()[phase])
         assert ranking[0] == (phase, 9)
 
+    def test_rejects_non_state_vars(self):
+        with pytest.raises(DomainError, match="StateVars"):
+            classify_phase(["NA"] * 9)
+
     def test_all_na_is_a_crash(self):
         assert classify_phase(ALL_NA)[0] == (Phase.CRASH, 9)
 

@@ -53,6 +53,11 @@ class TestOracle:
     def test_seed_seq(self, root_seed, key):
         assert_same_seed_seq(stream(root_seed, key), oracle(root_seed, key))
 
+    @pytest.mark.parametrize("root_seed, key", [(0, 0), (DEFAULT_SEED, 4097)])
+    def test_seed_seq_repr(self, root_seed, key):
+        mine = stream(root_seed, key).bit_generator.seed_seq
+        assert repr(mine) == repr(oracle(root_seed, key).bit_generator.seed_seq)
+
     @settings(max_examples=100)
     @given(SEEDS, KEYS)
     @example(0, 4095)

@@ -272,6 +272,9 @@ class TestPpgsClassify:
     def test_constant_negative(self):
         assert ppgs_classify(series_of(*[("S", -1.0)] * 30)) is Ppgs.NEGATIVE
 
+    def test_constant_zero(self):
+        assert ppgs_classify(series_of(*[("L", 0.0)] * 30)) is Ppgs.INDETERMINATE
+
     def test_too_few_observations(self):
         assert ppgs_classify(series_of(*[("L", 1.0)] * 29)) is Ppgs.INDETERMINATE
 

@@ -189,7 +189,27 @@ class TestLossFunctionals:
         assert all(a <= b + 1e-15 for a, b in zip(dds, dds[1:]))
 
 
+class TestWealthPath:
+    @pytest.mark.parametrize(
+        "log_wealth, outcomes, message",
+        [
+            ([[0.0, 0.1]], [True], "nonempty 1-d"),
+            ([], [], "nonempty 1-d"),
+            ([0.0, 0.1, 0.2], [True], "one entry per step"),
+            ([0.0, math.inf], [True], "must be finite"),
+            ([0.0, math.nan], [True], "must be finite"),
+        ],
+    )
+    def test_rejects_malformed(self, log_wealth, outcomes, message):
+        with pytest.raises(DomainError, match=message):
+            WealthPath(log_wealth=log_wealth, outcomes=outcomes)
+
+
 class TestPathStats:
+    def test_needs_one_step(self):
+        with pytest.raises(DomainError, match="at least one step"):
+            path_stats(path_from_log_wealth([0.0]))
+
     def test_growth_rate_definition(self):
         path = path_from_log_wealth([0.0, 0.1, 0.4])
         assert path_stats(path).growth_rate == pytest.approx(0.2)
