@@ -169,6 +169,8 @@ def mixed_sequence_fractions(
             fractions.append(kelly_fraction(bet))
         except DomainError as exc:
             raise DomainError(f"bet {i}: {exc}") from exc
+        except TypeError:  # not an iterable of two arguments
+            raise DomainError(f"bet {i}: must be a BetSpec or (p, d) pair, got {bet!r}") from None
     return fractions
 
 

@@ -1,13 +1,19 @@
 """Exception types shared across the package, and the input rules.
 
-Every public entry point checks its counts, probabilities, betting fractions,
-seeds and other reals with the functions below, so each rule and its message
-are written once.  Each rejects NaN, infinities, bools, strings and
-out-of-range values with a :class:`DomainError`; numpy numbers pass.
+Every public entry point checks its integers (counts, array lengths, seeds),
+probabilities, betting fractions and other reals with the functions below, so
+each rule and its message are written once.  Each rejects NaN, infinities,
+bools, strings and out-of-range values with a :class:`DomainError`; numpy
+numbers pass.
 """
 
+import math
 import numbers
 import operator
+import sys
+
+# The largest array length: numpy sizes arrays with intp, whose max this is.
+MAX_LENGTH = sys.maxsize
 
 
 class DomainError(ValueError):
@@ -45,22 +51,29 @@ def shown(value: object, text=str) -> str:
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
-def integer(value: object, what: str) -> int:
-    """``value`` as an int; a bool, float, string or other non-integer raises."""
+def _outside(value: object, what: str, low: object, high: object, ends: str) -> DomainError:
+    return DomainError(f"{what} must lie in {ends[0]}{low}, {high}{ends[1]}, got {shown(value)}")
+
+
+def integer(value: object, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as an int in [``low``, ``high``] (``math.inf`` for no bound);
+    a bool, float, string or other non-integer raises."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low <= n <= high:
+                return n
+            ends = ("(" if low == -math.inf else "[") + (")" if high == math.inf else "]")
+            raise _outside(value, what, low, high, ends)
     raise DomainError(f"{what} must be an integer, got {shown(value, repr)}")
 
 
 def count(value: object, what: str) -> int:
     """``value`` as an int >= 1."""
-    n = integer(value, what)
-    if n < 1:
-        raise DomainError(f"{what} must be >= 1, got {shown(value)}")
-    return n
+    return integer(value, what, 1)
 
 
 def real(value: object, what: str) -> float:
@@ -81,7 +94,7 @@ def within(value: object, what: str, low: float, high: float, ends: str = "[]") 
     above = low <= x if ends[0] == "[" else low < x
     below = x <= high if ends[1] == "]" else x < high
     if not (above and below):
-        raise DomainError(f"{what} must lie in {ends[0]}{low}, {high}{ends[1]}, got {shown(value)}")
+        raise _outside(value, what, low, high, ends)
     return x
 
 
@@ -97,7 +110,4 @@ def fraction(value: object, what: str = "betting fraction") -> float:
 
 def root_seed(value: object, what: str = "root_seed") -> int:
     """``value`` as an int in [0, 2**64), numpy integers included."""
-    seed = integer(value, what)
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"{what} must be a 64-bit unsigned integer, got {shown(value, repr)}")
-    return seed
+    return integer(value, what, 0, 2**64 - 1)

@@ -25,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import DomainError, count, integer, probability, shown, within
+from .errors import MAX_LENGTH, DomainError, count, integer, probability, shown, within
 from .seeding import stream
 
 H = "H"
@@ -89,9 +89,13 @@ _OTHER = {H: T, T: H}
 def _replies(player: int) -> dict[str, str]:
     """A seat's best reply to each predicted opponent choice: player 1
     wins on a match, player 2 on a mismatch."""
-    if integer(player, "player") not in (1, 2):
-        raise DomainError(f"player must be 1 or 2, got {shown(player, repr)}")
-    return {H: H, T: T} if player == 1 else _OTHER
+    return {H: H, T: T} if integer(player, "player", 1, 2) == 1 else _OTHER
+
+
+def _choice(value: str, what: str) -> str:
+    if value not in (H, T):
+        raise DomainError(f"{what} must be H or T, got {value!r}")
+    return value
 
 
 class Biased(Strategy):
@@ -115,9 +119,7 @@ class Fixed(Strategy):
     """Always the same choice."""
 
     def __init__(self, choice: str) -> None:
-        if choice not in (H, T):
-            raise DomainError(f"choice must be H or T, got {choice!r}")
-        self.choice = choice
+        self.choice = _choice(choice, "choice")
 
     def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         return np.full(n_rounds, self.choice, dtype="U1")
@@ -127,9 +129,7 @@ class Alternator(Strategy):
     """Strict alternation from a starting choice."""
 
     def __init__(self, start: str = H) -> None:
-        if start not in (H, T):
-            raise DomainError(f"start must be H or T, got {start!r}")
-        self.start = start
+        self.start = _choice(start, "start")
 
     def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         return np.resize(np.array([self.start, _OTHER[self.start]]), n_rounds)
@@ -146,9 +146,7 @@ class FrequencyExploiter(Strategy):
     """
 
     def __init__(self, k: int = 2) -> None:
-        if not 1 <= integer(k, "context order") <= 8:
-            raise DomainError(f"context order must lie in 1..8, got {shown(k)}")
-        self.k = k
+        self.k = integer(k, "context order", 1, 8)
 
     def begin(self, rng: np.random.Generator, player: int) -> None:
         self._reply = _replies(player)
@@ -203,10 +201,7 @@ def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> Ga
 
 
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
-    if not 1 <= integer(n_rounds, "n_rounds") <= np.iinfo(np.intp).max:
-        raise DomainError(
-            f"n_rounds must lie in [1, {np.iinfo(np.intp).max}], got {shown(n_rounds)}"
-        )
+    integer(n_rounds, "n_rounds", 1, MAX_LENGTH)
     within(stake, "stake", 0, math.inf, "()")
     within(rake, "rake", 0, math.inf, "[)")
     if not math.isfinite(n_rounds * (stake + rake)):
@@ -298,9 +293,7 @@ def frequency_exploiter(
     exploiter = FrequencyExploiter(k=k)
     exploiter.begin(stream(0), player=player)
     for choice in history:
-        if choice not in (H, T):
-            raise DomainError(f"history entries must be H or T, got {choice!r}")
-        exploiter.observe(choice)
+        exploiter.observe(_choice(choice, "history entries"))
     return exploiter.choose()
 
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .betmath import BetSpec
 from .errors import (BudgetError, DomainError, InfeasibleThreshold, count, fraction,
-                     probability, real, root_seed, within)
+                     probability, root_seed, within)
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
 _MIN_PATHS = 1000
@@ -72,7 +72,8 @@ class GrationalProblem:
         count(self.n_steps, "n_steps")
         if not isinstance(self.loss_kind, LossKind):
             raise DomainError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
-        if not real(self.loss_threshold, "loss threshold") > 0.0:
+        # NaN fails the range rule; a real threshold <= 0 is infeasible.
+        if not within(self.loss_threshold, "loss threshold", -math.inf, math.inf) > 0.0:
             raise InfeasibleThreshold(
                 f"loss threshold must be positive, got {self.loss_threshold}; "
                 "a nonpositive threshold is violated even by f = 0"

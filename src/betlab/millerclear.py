@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoClear, count, integer, shown, within
+from .errors import MAX_LENGTH, DomainError, NoClear, count, integer, shown, within
 from .seeding import stream
 
 
@@ -77,10 +77,8 @@ class AuctionSpec:
 
     def __post_init__(self) -> None:
         count(self.m_buyers, "m_buyers")
-        integer(self.n_shares, "n_shares")
-        integer(self.short_supply, "short_supply")
-        if self.n_shares < 0 or self.short_supply < 0:
-            raise DomainError("share counts must be nonnegative")
+        integer(self.n_shares, "n_shares", 0)
+        integer(self.short_supply, "short_supply", 0)
         if self.n_shares + self.short_supply < 1:
             raise DomainError("total supply must be at least one share")
 
@@ -138,7 +136,8 @@ def dispersion_sweep(
     Strictly increasing in sd when the quantile level is above 1/2,
     pinned at the mean at 1/2, decreasing below.
     """
-    sds = np.asarray(sds, dtype=float)
+    # Each sd passes the opinion rules before it becomes a float.
+    sds = np.asarray([NormalOpinions(mean, sd).sd for sd in sds], dtype=float)
     if sds.size == 0 or np.any(np.diff(sds) < 0):
         raise DomainError("sds must be nonempty and nondecreasing")
     return np.asarray([clearing_price(NormalOpinions(mean, sd), auction) for sd in sds])
@@ -147,15 +146,11 @@ def dispersion_sweep(
 def short_selling_effect(
     dist: OpinionDistribution, auction: AuctionSpec, short_supplies: Sequence[int]
 ) -> np.ndarray:
-    """Clearing prices as short-sold supply is varied; nonincreasing in s."""
-    prices = []
-    for s in short_supplies:
-        if integer(s, "short supply") < 0:
-            raise DomainError(f"short supply must be nonnegative, got {shown(s)}")
-        prices.append(
-            clearing_price(dist, dataclasses.replace(auction, short_supply=int(s)))
-        )
-    return np.asarray(prices)
+    """Clearing prices as short-sold supply is varied; nonincreasing in s.
+    ``AuctionSpec`` checks each short supply."""
+    return np.asarray([
+        clearing_price(dist, dataclasses.replace(auction, short_supply=s)) for s in short_supplies
+    ])
 
 
 def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
@@ -182,7 +177,7 @@ def sample_normal_opinions(
     mean: float, sd: float, m_buyers: int, root_seed: int, truncate: bool = False
 ) -> EmpiricalOpinions:
     """Draw one estimate per buyer from Normal(mean, sd), seeded stream."""
-    count(m_buyers, "m_buyers")
+    integer(m_buyers, "m_buyers", 1, MAX_LENGTH)
     NormalOpinions(mean, sd)
     with np.errstate(over="ignore"):
         draws = mean + sd * stream(root_seed).standard_normal(m_buyers)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .errors import DomainError, integer, shown
+from .errors import integer
 
 # Default root seed used by the CLI when neither --seed nor the
 # GRATIONAL_SEED environment variable is given.
@@ -52,10 +52,7 @@ _POOL = 4
 
 def _key(value: object) -> int:
     """Check a stream key: a nonnegative integer."""
-    k = integer(value, "stream key")
-    if k < 0:
-        raise DomainError(f"stream keys must be nonnegative, got {shown(value, repr)}")
-    return k
+    return integer(value, "stream key", 0)
 
 
 def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:

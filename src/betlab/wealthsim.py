@@ -33,7 +33,7 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import DomainError, count, fraction, root_seed, shown, within
+from .errors import MAX_LENGTH, DomainError, count, fraction, integer, root_seed, shown, within
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -114,7 +114,7 @@ def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> 
     (the common-random-numbers contract used by the grational solver).
     """
     n_steps, n_paths = count(n_steps, "n_steps"), count(n_paths, "n_paths")
-    if n_paths * n_steps > np.iinfo(np.intp).max:
+    if n_paths * n_steps > MAX_LENGTH:
         raise DomainError(
             f"{shown(n_paths)} paths of {shown(n_steps)} steps exceed what numpy can index"
         )
@@ -193,7 +193,8 @@ def ruin_probability_all_in(bet: BetSpec, n: int) -> float:
     Betting everything each turn, a single loss is ruin, so only the
     all-win sequence survives.  Monotone to 1 as ``n`` grows for p < 1.
     """
-    return 1.0 - bet.p ** count(n, "n")
+    # p**n is exactly 0 (p < 1) or 1 (p = 1) long before n leaves double range.
+    return 1.0 - bet.p ** min(count(n, "n"), 2**1023)
 
 
 def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
@@ -205,7 +206,7 @@ def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
     increment finite when an all-win prefix drives ``xbar_k`` to 1.
     Vectorizable because outcomes never depend on the bet size.
     """
-    n_steps = count(n_steps, "n_steps")
+    n_steps = integer(n_steps, "n_steps", 1, MAX_LENGTH)
     x = stream(root_seed).random(n_steps) < bet.p
     seen = np.arange(n_steps, dtype=float)  # outcomes observed before each step
     wins_before = np.concatenate(([0.0], np.cumsum(x)[:-1].astype(float)))

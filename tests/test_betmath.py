@@ -230,6 +230,11 @@ class TestVariants:
         with pytest.raises(DomainError, match="bet 1"):
             mixed_sequence_fractions([(0.6, 1.0), (1.5, 1.0)])
 
+    @pytest.mark.parametrize("bet", [(0.6,), 0.6, (0.6, 1.0, 2.0), None])
+    def test_mixed_sequence_needs_pairs(self, bet):
+        with pytest.raises(DomainError, match=r"^bet 0: must be a BetSpec or \(p, d\) pair"):
+            mixed_sequence_fractions([bet])
+
     def test_fractional_kelly_scaling(self):
         assert fractional_kelly(BetSpec(0.6, 1.0), 0.5) == pytest.approx(0.1)
 

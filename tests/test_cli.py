@@ -76,6 +76,20 @@ class TestExitCodes:
         assert run(argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 10**20 buyers' estimates are more than an array can hold.
+            (["miller", "--mode", "empirical", "--shares", "1", "--buyers", str(10**20),
+              "--sds", "1"], f"m_buyers must lie in [1, {sys.maxsize}], got {10**20}"),
+            (["grational", "--p", "0.6", "--d", "1", "--steps", "5", "--threshold", "nan",
+              "--max-prob", "0.1"], "loss threshold must lie in [-inf, inf], got nan"),
+        ],
+    )
+    def test_domain_error_line(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestKelly:
     def test_text_output(self, capsys):

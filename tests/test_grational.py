@@ -95,6 +95,11 @@ class TestValidation:
         with pytest.raises(InfeasibleThreshold):
             GrationalProblem(BET, 10, LossKind.WORST_LOSS, 0.0, 0.5)
 
+    def test_nan_threshold_is_not_infeasible(self):
+        with pytest.raises(DomainError, match="loss threshold must lie in") as info:
+            GrationalProblem(BET, 10, LossKind.DRAWDOWN, math.nan, 0.1)
+        assert not isinstance(info.value, InfeasibleThreshold)
+
     def test_loss_kind_must_be_the_enum(self):
         with pytest.raises(DomainError, match="LossKind"):
             GrationalProblem(BET, 10, "drawdown", 0.1, 0.5)

@@ -200,6 +200,38 @@ RANGE_SITES = {
         "[]",
     ),
 }
+MAX = errors.MAX_LENGTH
+# Integer arguments checked by ``errors.integer``: the site, then the
+# interval's inclusive ends (``INF`` for no bound).  An array length ends at
+# ``MAX``.  Where a site would build an array of ``MAX`` entries, another
+# argument makes it refuse the call after the range rule has passed: an
+# overflowing stake or a seed of None.
+INTEGER_SITES = {
+    "count": (lambda v: errors.count(v, "n"), 1, INF),
+    "root_seed": (errors.root_seed, 0, 2**64 - 1),
+    "stream.key": (lambda v: stream(1, v), 0, INF),
+    "stream.second_key": (lambda v: stream(1, 0, v), 0, INF),
+    "frequency_exploiter.player": (
+        lambda v: frequency_exploiter(["H"] * 5, k=1, player=v), 1, 2
+    ),
+    "BestResponder.column.player": (lambda v: BestResponder(0.5).column(stream(1), v, 3), 1, 2),
+    "FrequencyExploiter.k": (lambda v: FrequencyExploiter(v), 1, 8),
+    "play_match.n_rounds": (
+        lambda v: play_match(CoinFlip(), CoinFlip(), v, 1, stake=1e300), 1, MAX
+    ),
+    "spy_match.n_rounds": (lambda v: spy_match(CoinFlip(), v, 1, stake=1e300), 1, MAX),
+    "AuctionSpec.n_shares": (lambda v: AuctionSpec(v, 1000, short_supply=1), 0, INF),
+    "AuctionSpec.short_supply": (lambda v: AuctionSpec(100, 1000, short_supply=v), 0, INF),
+    "short_selling_effect.short_supplies": (
+        lambda v: short_selling_effect(NormalOpinions(50.0, 10.0), AuctionSpec(1, 1000), [v]),
+        0,
+        INF,
+    ),
+    "adaptive_policy_growth.n_steps": (lambda v: adaptive_policy_growth(BET, v, None), 1, MAX),
+    "sample_normal_opinions.m_buyers": (
+        lambda v: sample_normal_opinions(50.0, 10.0, v, None), 1, MAX
+    ),
+}
 # Real arguments whose range rule is their own; a non-real must fail the
 # shared real-number rule before any comparison.
 REAL_SITES = {name: site for name, (site, *_) in RANGE_SITES.items()} | {
@@ -346,6 +378,38 @@ def test_ranges(name, refuse, data):
         assert "must lie in" not in str(exc)
 
 
+def integer_points(low, high):
+    """The ints a range refuses (the int past each end, 2**63, 10**20 and
+    -(10**5000), where they lie outside it) and its finite ends, which it holds."""
+    candidates = [low - 1, high + 1, 2**63, 10**20, -(10**5000)]
+    refused = [n for n in candidates if not low <= n <= high]
+    return refused, [end for end in (low, high) if end != INF]
+
+
+@SETTINGS
+@given(name=st.sampled_from(sorted(INTEGER_SITES)), refuse=st.booleans(), data=st.data())
+def test_integer_ranges(name, refuse, data):
+    site, low, high = INTEGER_SITES[name]
+    refused, held = integer_points(low, high)
+    if refuse:
+        with pytest.raises(DomainError, match="must lie in"):
+            site(data.draw(st.sampled_from(refused)))
+        return
+    # The range rule lets an end through; another rule of the site may
+    # still refuse it.
+    try:
+        site(data.draw(st.sampled_from(held)))
+    except DomainError as exc:
+        assert "must lie in" not in str(exc)
+
+
+@pytest.mark.parametrize("n_steps, n_paths", [(MAX, 2), (2, MAX), (2**63, 1), (1, 10**20)])
+def test_outcome_matrix_size(n_steps, n_paths):
+    # The matrix's size, not each side, is bounded by the largest array length.
+    with pytest.raises(DomainError, match="exceed what numpy can index"):
+        outcome_matrix(BET, n_steps, n_paths, 1)
+
+
 HUGE_INT_CALLS = {
     "root_seed": lambda: errors.root_seed(10**5000),
     "real": lambda: errors.real(10**5000, "x"),
@@ -401,25 +465,32 @@ class TestRules:
     @pytest.mark.parametrize(
         "rule, args, message",
         [
-            ("count", (0, "n_paths"), "n_paths must be >= 1, got 0"),
+            ("count", (0, "n_paths"), "n_paths must lie in [1, inf), got 0"),
             ("count", (2.5, "n_paths"), "n_paths must be an integer, got 2.5"),
             ("integer", (True, "k"), "k must be an integer, got True"),
             ("probability", (1.5, "x"), "x must lie in [0, 1], got 1.5"),
             ("probability", (True, "x"), "x must be a real number, got True"),
             ("fraction", (1.0,), "betting fraction must lie in [0, 1), got 1.0"),
             ("fraction", ("0.5", "f_max"), "f_max must be a real number, got '0.5'"),
-            ("root_seed", (-1,), "root_seed must be a 64-bit unsigned integer, got -1"),
+            ("root_seed", (-1,), "root_seed must lie in [0, 18446744073709551615], got -1"),
             ("root_seed", (1.0,), "root_seed must be an integer, got 1.0"),
             ("real", (True, "odds"), "odds must be a real number, got True"),
             ("within", (-1.0, "odds", 0, math.inf, "()"), "odds must lie in (0, inf), got -1.0"),
             ("within", (math.nan, "sd", 0, math.inf, "[)"), "sd must lie in [0, inf), got nan"),
             ("within", (0, "alpha", 0, 1, "(]"), "alpha must lie in (0, 1], got 0"),
-            ("count", (-(10**5000), "n"), "n must be >= 1, got a negative int of 16610 bits"),
+            (
+                "count",
+                (-(10**5000), "n"),
+                "n must lie in [1, inf), got a negative int of 16610 bits",
+            ),
             (
                 "root_seed",
                 (10**5000,),
-                "root_seed must be a 64-bit unsigned integer, got an int of 16610 bits",
+                "root_seed must lie in [0, 18446744073709551615], got an int of 16610 bits",
             ),
+            ("integer", (9, "context order", 1, 8), "context order must lie in [1, 8], got 9"),
+            ("integer", (0, "k", -math.inf, -1), "k must lie in (-inf, -1], got 0"),
+            ("integer", (0, "n", 1, MAX), f"n must lie in [1, {MAX}], got 0"),
         ],
     )
     def test_message(self, rule, args, message):
@@ -444,5 +515,5 @@ def test_seed_env_message(monkeypatch):
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue() == (
         f"error: bad {SEED_ENV_VAR} value '{2**64}': "
-        f"seed must be a 64-bit unsigned integer, got {2**64}\n"
+        f"seed must lie in [0, {2**64 - 1}], got {2**64}\n"
     )

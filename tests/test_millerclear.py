@@ -121,6 +121,11 @@ class TestDispersionSweep:
         with pytest.raises(DomainError):
             dispersion_sweep(50.0, sds, SCARCE)
 
+    @pytest.mark.parametrize("sd", ["a", None, 1j])
+    def test_rejects_non_real_sds(self, sd):
+        with pytest.raises(DomainError, match="sd must be a real number"):
+            dispersion_sweep(50.0, [sd], SCARCE)
+
 
 class TestShortSelling:
     def test_added_supply_walks_down_the_demand_curve(self):

@@ -141,5 +141,6 @@ class TestValidation:
 
     @given(SEEDS.map(lambda s: -s - 1) | st.integers(min_value=2**64))
     def test_seed_out_of_range(self, root_seed):
-        with pytest.raises(DomainError, match="64-bit unsigned"):
+        message = r"root_seed must lie in \[0, 18446744073709551615\]"
+        with pytest.raises(DomainError, match=message):
             stream(root_seed, 0)

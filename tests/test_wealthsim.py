@@ -234,6 +234,12 @@ class TestRuinAllIn:
     def test_certain_winner_never_ruined(self):
         assert ruin_probability_all_in(BetSpec(1.0, 1.0), 1000) == 0.0
 
+    @pytest.mark.parametrize("n", [10**400, 2**2000])
+    @pytest.mark.parametrize("p, ruin", [(0.6, 1.0), (1 - 2**-53, 1.0), (1.0, 0.0)])
+    def test_counts_past_double_range(self, n, p, ruin):
+        # p**n converted n to a float and overflowed; its limit is exact.
+        assert ruin_probability_all_in(BetSpec(p, 1.0), n) == ruin
+
     @given(n=st.integers(min_value=1, max_value=200))
     def test_monotone_in_n(self, n):
         bet = BetSpec(0.7, 1.0)
