@@ -9,7 +9,7 @@ Conventions shared by every subcommand:
   with 12 significant digits, round-half-even; json carries full
   precision.  Undefined values print as NA in text, null in json.
 * ``--output PATH`` writes the payload to a file instead of stdout.
-* Exit codes: 0 success, 1 domain error (reported on stderr), 2 usage.
+* Exit codes: 0 success, 1 domain error or failed allocation (on stderr), 2 usage.
 
 The experiment scripts in ``scripts/`` run through :func:`run` as well,
 with ``--seed`` and ``--output`` but no ``--format``: they print CSV.
@@ -152,11 +152,11 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     payload: dict = {label: fields}
     if args.years is not None:
         avg = sysstats.average_gain_per_year(row, args.years)
-        text += f"\navg_gain_per_year {render.cell(avg)}"
+        text += "\n" + render.line(["avg_gain_per_year", avg])
         payload["avg_gain_per_year"] = avg
     if args.ppgs_alpha is not None:
         label_cls = sysstats.ppgs_classify(series, alpha=args.ppgs_alpha).value
-        text += f"\nclassification {label_cls}"
+        text += "\n" + render.line(["classification", label_cls])
         payload["classification"] = label_cls
     rows = [["filter", *sysstats.SUMMARY_COLUMNS], [label, *fields.values()]]
     return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
@@ -214,7 +214,7 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
         "prices": prices,
     }
     pairs = list(zip(args.sds, prices))
-    text = "\n".join(f"{render.cell(sd)} {render.cell(price)}" for sd, price in pairs)
+    text = "\n".join(map(render.line, pairs))
     rows = [("sd", "clearing_price"), *pairs]
     return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
 
@@ -227,8 +227,8 @@ def _cmd_popp(args: argparse.Namespace) -> CommandOutput:
         "ranking": [{"phase": phase.value, "score": score} for phase, score in ranking],
         "kelly_multiplier": multipliers[top_phase],
     }
-    text = "\n".join(f"{phase.value} {score}" for phase, score in ranking)
-    text += f"\nkelly_multiplier {render.cell(multipliers[top_phase])}"
+    lines = [(phase.value, score) for phase, score in ranking]
+    text = "\n".join(map(render.line, [*lines, ("kelly_multiplier", multipliers[top_phase])]))
     rows: list[Sequence[object]] = [["phase", "score", "kelly_multiplier"]]
     rows += [[phase.value, score, multipliers[phase]] for phase, score in ranking]
     return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
@@ -359,7 +359,7 @@ def _emit(args: argparse.Namespace, result: CommandOutput) -> None:
         if args.format == "text":
             text = result.text
             if text is None:
-                text = "\n".join(f"{k} {render.cell(v)}" for k, v in result.payload.items())
+                text = "\n".join(map(render.line, result.payload.items()))
             fh.write(text + "\n")
         elif args.format == "json":
             fh.write(json.dumps(result.payload, indent=2, allow_nan=False) + "\n")
@@ -392,8 +392,9 @@ def run(
     try:
         result = args.handler(args)
         _emit(args, result)
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, OSError, MemoryError) as exc:
+        # A MemoryError: a length within MAX_LENGTH that cannot be allocated.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -12,8 +12,8 @@ import numbers
 import operator
 import sys
 
-# The largest array length: numpy sizes arrays with intp, whose max this is.
-MAX_LENGTH = sys.maxsize
+# The longest float64 array numpy can size: its byte count must fit an intp.
+MAX_LENGTH = sys.maxsize // 8
 
 
 class DomainError(ValueError):

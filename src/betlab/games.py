@@ -19,7 +19,7 @@ Determinism: a match draws from per-player streams derived from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -34,31 +34,33 @@ T = "T"
 # Rounds per batch when writing a transcript: whole columns at once would
 # hold the text of every row in memory.
 _CSV_BLOCK = 4096
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class GameTranscript:
-    """Array-backed match record; one entry per round."""
+    """A match's two choice columns (H or T, one entry per round) and terms.
+    The gains follow by the payoff rule: player 1 wins the stake on a match,
+    player 2 on a mismatch, and each pays half the rake every round."""
 
     choices1: np.ndarray
     choices2: np.ndarray
-    gains1: np.ndarray
-    gains2: np.ndarray
     stake: float
     rake: float = 0.0
+    gains1: np.ndarray = field(init=False)
+    gains2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        n = len(self.choices1)
-        if not (len(self.choices2) == len(self.gains1) == len(self.gains2) == n):
-            raise DomainError("transcript arrays must have equal length")
-        totals = np.asarray(self.gains1) + np.asarray(self.gains2)
-        if self.rake == 0.0:
-            if np.any(totals != 0.0):
-                raise DomainError("zero-sum violated")
-        elif not np.all(abs(totals + self.rake) <= 4 * _EPS * (self.stake + self.rake)):
-            # Each gain rounds once, by at most eps/2 of stake + rake/2.
-            raise DomainError("per-round gains must sum to -rake")
+        c1, c2 = self.choices1, self.choices2
+        if not (np.ndim(c1) == np.ndim(c2) == 1 and len(c1) == len(c2)):
+            raise DomainError("transcript arrays must be 1-d and of equal length")
+        _check_match(len(c1), self.stake, self.rake)
+        for what, column in (("choices1", c1), ("choices2", c2)):
+            bad = column[(column != H) & (column != T)]
+            if bad.size:
+                _choice(str(bad[0]), what)  # refuses it
+        match, stake, half_rake = c1 == c2, self.stake, self.rake / 2.0
+        object.__setattr__(self, "gains1", np.where(match, stake, -stake) - half_rake)
+        object.__setattr__(self, "gains2", np.where(match, -stake, stake) - half_rake)
 
     @property
     def n_rounds(self) -> int:
@@ -186,20 +188,6 @@ class BestResponder(Strategy):
         return Fixed(reply[H if self.announced_p_h > 0.5 else T]).column(rng, player, n_rounds)
 
 
-def _transcript(c1: np.ndarray, c2: np.ndarray, stake: float, rake: float) -> GameTranscript:
-    """The payoff rule: player 1 wins the stake on a match, player 2 on a
-    mismatch, and each pays half the rake every round."""
-    match = c1 == c2
-    return GameTranscript(
-        choices1=c1,
-        choices2=c2,
-        gains1=np.where(match, stake, -stake) - rake / 2.0,
-        gains2=np.where(match, -stake, stake) - rake / 2.0,
-        stake=stake,
-        rake=rake,
-    )
-
-
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
     integer(n_rounds, "n_rounds", 1, MAX_LENGTH)
     within(stake, "stake", 0, math.inf, "()")
@@ -246,7 +234,7 @@ def play_match(
                 seats[i].observe(played[1 - i][r])
         for i in adaptive:
             columns[i] = np.array(played[i], dtype="U1")
-    return _transcript(columns[0], columns[1], stake, rake)
+    return GameTranscript(columns[0], columns[1], stake, rake)
 
 
 def spy_match(
@@ -265,7 +253,7 @@ def spy_match(
             played.append(strategy1.choose())
             strategy1.observe(_OTHER[played[-1]])
         c1 = np.array(played, dtype="U1")
-    return _transcript(c1, np.where(c1 == H, T, H), stake, 0.0)
+    return GameTranscript(c1, np.where(c1 == H, T, H), stake)
 
 
 def responder_expected_gain(

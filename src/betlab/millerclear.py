@@ -136,8 +136,12 @@ def dispersion_sweep(
     Strictly increasing in sd when the quantile level is above 1/2,
     pinned at the mean at 1/2, decreasing below.
     """
+    try:
+        each = iter(sds)
+    except TypeError:
+        raise DomainError(f"sds must be a sequence of reals, got {shown(sds, repr)}") from None
     # Each sd passes the opinion rules before it becomes a float.
-    sds = np.asarray([NormalOpinions(mean, sd).sd for sd in sds], dtype=float)
+    sds = np.asarray([NormalOpinions(mean, sd).sd for sd in each], dtype=float)
     if sds.size == 0 or np.any(np.diff(sds) < 0):
         raise DomainError("sds must be nonempty and nondecreasing")
     return np.asarray([clearing_price(NormalOpinions(mean, sd), auction) for sd in sds])

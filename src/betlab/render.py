@@ -30,6 +30,11 @@ def cell(value: object) -> str:
     return str(value)
 
 
+def line(row: Iterable[object]) -> str:
+    """A text line: the row's cells joined by single spaces."""
+    return " ".join(map(cell, row))
+
+
 def floats(values: Iterable[float]) -> Iterator[str]:
     """Cells of many floats, made as they are read, for the long tables."""
     return map(_FLOAT, values)

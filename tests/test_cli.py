@@ -79,16 +79,28 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # 10**20 buyers' estimates are more than an array can hold.
+            # 10**20 and 2**62 buyers' estimates are more than a float64 array can hold.
             (["miller", "--mode", "empirical", "--shares", "1", "--buyers", str(10**20),
-              "--sds", "1"], f"m_buyers must lie in [1, {sys.maxsize}], got {10**20}"),
+              "--sds", "1"], f"m_buyers must lie in [1, {sys.maxsize // 8}], got {10**20}"),
             (["grational", "--p", "0.6", "--d", "1", "--steps", "5", "--threshold", "nan",
               "--max-prob", "0.1"], "loss threshold must lie in [-inf, inf], got nan"),
+            (["miller", "--mode", "empirical", "--shares", "1", "--buyers", str(2**62),
+              "--sds", "1"], f"m_buyers must lie in [1, {sys.maxsize // 8}], got {2**62}"),
         ],
     )
     def test_domain_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_unallocatable_length_is_one_error_line(self, capsys):
+        # 2**59 buyers pass the length rule, but their 4 EiB of estimates
+        # exceed any address space, so numpy refuses them at once.
+        argv = ["miller", "--mode", "empirical", "--shares", "1", "--buyers", str(2**59),
+                "--sds", "1"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 class TestKelly:

@@ -11,6 +11,7 @@ never a NaN result.  numpy numbers stay accepted.
 import contextlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -403,7 +404,10 @@ def test_integer_ranges(name, refuse, data):
         assert "must lie in" not in str(exc)
 
 
-@pytest.mark.parametrize("n_steps, n_paths", [(MAX, 2), (2, MAX), (2**63, 1), (1, 10**20)])
+@pytest.mark.parametrize(
+    "n_steps, n_paths",
+    [(sys.maxsize, 2), (2, sys.maxsize), (MAX, 2), (2, MAX), (2**63, 1), (1, 10**20)],
+)
 def test_outcome_matrix_size(n_steps, n_paths):
     # The matrix's size, not each side, is bounded by the largest array length.
     with pytest.raises(DomainError, match="exceed what numpy can index"):
@@ -490,7 +494,7 @@ class TestRules:
             ),
             ("integer", (9, "context order", 1, 8), "context order must lie in [1, 8], got 9"),
             ("integer", (0, "k", -math.inf, -1), "k must lie in (-inf, -1], got 0"),
-            ("integer", (0, "n", 1, MAX), f"n must lie in [1, {MAX}], got 0"),
+            ("integer", (0, "n", 1, sys.maxsize), f"n must lie in [1, {sys.maxsize}], got 0"),
         ],
     )
     def test_message(self, rule, args, message):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,10 +123,19 @@ class TestDispersionSweep:
         with pytest.raises(DomainError):
             dispersion_sweep(50.0, sds, SCARCE)
 
-    @pytest.mark.parametrize("sd", ["a", None, 1j])
-    def test_rejects_non_real_sds(self, sd):
-        with pytest.raises(DomainError, match="sd must be a real number"):
-            dispersion_sweep(50.0, [sd], SCARCE)
+    @pytest.mark.parametrize(
+        "sds, message",
+        [
+            pytest.param(["a"], "sd must be a real number, got 'a'", id="a"),
+            pytest.param([None], "sd must be a real number, got None", id="None"),
+            pytest.param([1j], "sd must be a real number, got 1j", id="1j"),
+            # A lone sd is not a grid of them.
+            pytest.param(5.0, "sds must be a sequence of reals, got 5.0", id="scalar"),
+        ],
+    )
+    def test_rejects_non_real_sds(self, sds, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dispersion_sweep(50.0, sds, SCARCE)
 
 
 class TestShortSelling:

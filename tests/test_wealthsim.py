@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +268,10 @@ class TestAdaptivePolicy:
     def test_rejects_non_integer_steps(self, n_steps):
         with pytest.raises(DomainError, match="n_steps"):
             adaptive_policy_growth(BetSpec(0.6, 1.0), n_steps, root_seed=1)
+
+    def test_rejects_length_past_float64_arrays(self):
+        with pytest.raises(DomainError, match=rf"n_steps must lie in \[1, {sys.maxsize // 8}\]"):
+            adaptive_policy_growth(BetSpec(0.6, 1.0), sys.maxsize, root_seed=1)
 
     def test_deterministic(self):
         bet = BetSpec(0.55, 2.0)
