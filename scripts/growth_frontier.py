@@ -12,7 +12,6 @@ Output CSV columns: u, f_star, e_growth, se_growth, p_violation, feasible.
 
 from betlab import cli
 from betlab.betmath import BetSpec
-from betlab.errors import DomainError
 from betlab.grational import (GrationalProblem, LossKind, McBudget, best_feasible,
                               solve)
 
@@ -28,8 +27,6 @@ def frontier(args):
         )
         for u in args.caps
     ]
-    if not problems:
-        raise DomainError("--caps needs at least one cap value")
     # The grid does not depend on the cap: score it once, then pick f_star
     # per cap from it.
     budget = McBudget(n_paths=args.paths, root_seed=args.seed)

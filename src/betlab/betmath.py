@@ -51,7 +51,7 @@ class BetSpec:
         return 1.0 - self.p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthCurve:
     """Asymptotic growth rates evaluated on an increasing grid of fractions."""
 

@@ -5,10 +5,13 @@ Conventions shared by every subcommand:
 * ``--seed`` fixes all randomness; when absent, the ``GRATIONAL_SEED``
   environment variable is consulted, then a fixed default.  Identical
   invocations produce byte-identical output.
-* ``--format text|json|csv`` (default text).  Text floats are printed
-  with 12 significant digits, round-half-even; json carries full
-  precision.  Undefined values print as NA in text, null in json.
-* ``--output PATH`` writes the payload to a file instead of stdout.
+* ``--format text|json|csv`` (default text).  A handler returns one
+  :class:`CommandOutput` and :func:`_emit` renders it: text is one line
+  of space-separated cells per row of ``lines`` (by default ``key value``
+  per payload entry), json is the payload, csv is the ``table`` rows.
+  Text and csv floats have 12 significant digits, round-half-even; json
+  carries full precision.  Undefined values print as NA, null in json.
+* ``--output PATH`` writes that output to a file instead of stdout.
 * Exit codes: 0 success, 1 domain error or failed allocation (on stderr), 2 usage.
 
 The experiment scripts in ``scripts/`` run through :func:`run` as well,
@@ -18,11 +21,12 @@ with ``--seed`` and ``--output`` but no ``--format``: they print CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,8 +41,9 @@ SEED_ENV_VAR = "GRATIONAL_SEED"
 @dataclass
 class CommandOutput:
     payload: dict
-    csv_write: Callable[[IO[str]], None]
-    text: str | None = None  # None: one "key value" line per payload entry
+    # CSV rows, header first; a long table is instead a function writing it.
+    table: Sequence[Sequence[object]] | Callable[[IO[str]], None]
+    lines: Iterable[Sequence[object]] | None = None  # None: payload.items()
 
 
 def _seed_type(text: str) -> int:
@@ -58,10 +63,11 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+    """At least one comma-separated number; else a usage error."""
+    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _cmd_kelly(args: argparse.Namespace) -> CommandOutput:
@@ -73,8 +79,7 @@ def _cmd_kelly(args: argparse.Namespace) -> CommandOutput:
         f_c = None
     growth = betmath.asymptotic_growth(bet, f) if f < 1.0 else math.log1p(bet.d)
     payload = {"f": f, "f_c": f_c, "growth": growth}
-    rows = [list(payload), list(payload.values())]
-    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows))
+    return CommandOutput(payload, [list(payload), list(payload.values())])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
@@ -102,7 +107,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         "mean_drawdown": float(np.mean([s.drawdown for s in stats])),
         "ruin_fraction": float(np.mean([s.ruined for s in stats])),
     }
-    return CommandOutput(payload, lambda fh: wealthsim.write_paths_csv(paths, fh))
+    return CommandOutput(payload, functools.partial(wealthsim.write_paths_csv, paths))
 
 
 def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
@@ -125,19 +130,10 @@ def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
         "se_violation": solution.violation_prob.se,
         "feasible": solution.feasible,
     }
-    grid = solution.grid
-    rows: list[Sequence[object]] = [
-        ["f", "e_growth", "se_growth", "p_violation", "se_violation", "feasible"]
-    ]
-    rows += zip(
-        grid.f.tolist(),
-        grid.e_growth.tolist(),
-        grid.se_growth.tolist(),
-        grid.p_violation.tolist(),
-        grid.se_violation.tolist(),
-        grid.feasible.astype(int).tolist(),
-    )
-    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows))
+    # One row per grid fraction; the flag column reads 1.0/0.0, printed 1/0.
+    names = [field.name for field in fields(grational.GrationalGrid)]
+    columns = np.column_stack([getattr(solution.grid, name) for name in names])
+    return CommandOutput(payload, [names, *columns.tolist()])
 
 
 def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
@@ -146,20 +142,19 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     which = sysstats.Filter(args.filter)
     label = {"long": "Long", "short": "Short", "all": "All"}[which.value]
     row = sysstats.summarize(series, which)
-    fields = sysstats.display_fields(row)
-
-    text = sysstats.format_summary_text([(label, row)])
-    payload: dict = {label: fields}
+    values = sysstats.display_fields(row)
+    extras: dict = {}
     if args.years is not None:
-        avg = sysstats.average_gain_per_year(row, args.years)
-        text += "\n" + render.line(["avg_gain_per_year", avg])
-        payload["avg_gain_per_year"] = avg
+        extras["avg_gain_per_year"] = sysstats.average_gain_per_year(row, args.years)
     if args.ppgs_alpha is not None:
-        label_cls = sysstats.ppgs_classify(series, alpha=args.ppgs_alpha).value
-        text += "\n" + render.line(["classification", label_cls])
-        payload["classification"] = label_cls
-    rows = [["filter", *sysstats.SUMMARY_COLUMNS], [label, *fields.values()]]
-    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
+        extras["classification"] = sysstats.ppgs_classify(series, args.ppgs_alpha).value
+    # The aligned table is one multi-line cell: render.line((text,)) == text.
+    table_text = sysstats.format_summary_text([(label, row)])
+    return CommandOutput(
+        {label: values, **extras},
+        [["filter", *sysstats.SUMMARY_COLUMNS], [label, *values.values()]],
+        [(table_text,), *extras.items()],
+    )
 
 
 def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
@@ -183,7 +178,7 @@ def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
         "mean_gain1": transcript.total_gain1 / transcript.n_rounds,
         "mean_gain2": transcript.total_gain2 / transcript.n_rounds,
     }
-    return CommandOutput(payload, lambda fh: games.write_transcript_csv(transcript, fh))
+    return CommandOutput(payload, functools.partial(games.write_transcript_csv, transcript))
 
 
 def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
@@ -214,24 +209,21 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
         "prices": prices,
     }
     pairs = list(zip(args.sds, prices))
-    text = "\n".join(map(render.line, pairs))
-    rows = [("sd", "clearing_price"), *pairs]
-    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
+    return CommandOutput(payload, [("sd", "clearing_price"), *pairs], pairs)
 
 
 def _cmd_popp(args: argparse.Namespace) -> CommandOutput:
-    ranking = popp.classify_phase(args.state)
-    multipliers = {phase: popp.kelly_multiplier(phase) for phase, _ in ranking}
-    top_phase = ranking[0][0]
-    payload = {
-        "ranking": [{"phase": phase.value, "score": score} for phase, score in ranking],
-        "kelly_multiplier": multipliers[top_phase],
-    }
-    lines = [(phase.value, score) for phase, score in ranking]
-    text = "\n".join(map(render.line, [*lines, ("kelly_multiplier", multipliers[top_phase])]))
-    rows: list[Sequence[object]] = [["phase", "score", "kelly_multiplier"]]
-    rows += [[phase.value, score, multipliers[phase]] for phase, score in ranking]
-    return CommandOutput(payload, lambda fh: render.write_rows(fh, rows), text)
+    body = [
+        (phase.value, score, popp.kelly_multiplier(phase))
+        for phase, score in popp.classify_phase(args.state)
+    ]
+    top = ("kelly_multiplier", body[0][2])  # the best-ranked phase's multiplier
+    ranking = [{"phase": phase, "score": score} for phase, score, _ in body]
+    return CommandOutput(
+        {"ranking": ranking, "kelly_multiplier": top[1]},
+        [("phase", "score", "kelly_multiplier"), *body],
+        [row[:2] for row in body] + [top],
+    )
 
 
 def _add_common_options(parser: argparse.ArgumentParser, with_format: bool) -> None:
@@ -263,8 +255,7 @@ def script_parser(
 
     def handler(args: argparse.Namespace) -> CommandOutput:
         args.seed = _resolve_seed(args.seed)
-        rows = list(table(args))
-        return CommandOutput({}, lambda fh: render.write_rows(fh, rows))
+        return CommandOutput({}, list(table(args)))
 
     parser.set_defaults(format="csv", handler=handler)
     return parser
@@ -357,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args: argparse.Namespace, result: CommandOutput) -> None:
     def write(fh: IO[str]) -> None:
         if args.format == "text":
-            text = result.text
-            if text is None:
-                text = "\n".join(map(render.line, result.payload.items()))
-            fh.write(text + "\n")
+            lines = result.payload.items() if result.lines is None else result.lines
+            fh.write("\n".join(map(render.line, lines)) + "\n")
         elif args.format == "json":
             fh.write(json.dumps(result.payload, indent=2, allow_nan=False) + "\n")
+        elif callable(result.table):
+            result.table(fh)
         else:
-            result.csv_write(fh)
+            render.write_rows(fh, result.table)
 
     if args.output is None:
         write(sys.stdout)

@@ -36,7 +36,7 @@ T = "T"
 _CSV_BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameTranscript:
     """A match's two choice columns (H or T, one entry per round) and terms.
     The gains follow by the payoff rule: player 1 wins the stake on a match,
@@ -50,14 +50,15 @@ class GameTranscript:
     gains2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        c1, c2 = self.choices1, self.choices2
-        if not (np.ndim(c1) == np.ndim(c2) == 1 and len(c1) == len(c2)):
+        c1, c2 = np.asarray(self.choices1), np.asarray(self.choices2)
+        if not (c1.ndim == c2.ndim == 1 and c1.size == c2.size):
             raise DomainError("transcript arrays must be 1-d and of equal length")
-        _check_match(len(c1), self.stake, self.rake)
-        for what, column in (("choices1", c1), ("choices2", c2)):
+        _check_match(c1.size, self.stake, self.rake)
+        for name, column in (("choices1", c1), ("choices2", c2)):
             bad = column[(column != H) & (column != T)]
             if bad.size:
-                _choice(str(bad[0]), what)  # refuses it
+                _choice(str(bad[0]), name)  # refuses it
+            object.__setattr__(self, name, column)
         match, stake, half_rake = c1 == c2, self.stake, self.rake / 2.0
         object.__setattr__(self, "gains1", np.where(match, stake, -stake) - half_rake)
         object.__setattr__(self, "gains2", np.where(match, -stake, stake) - half_rake)

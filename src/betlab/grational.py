@@ -101,7 +101,7 @@ class McEstimate:
     se: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrationalGrid:
     """Per-fraction estimates across the search grid (ascending f)."""
 

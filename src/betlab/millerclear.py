@@ -46,7 +46,7 @@ class NormalOpinions:
         within(self.sd, "sd", 0, math.inf, "[)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalOpinions:
     """A concrete sample of buyer estimates, one per potential buyer."""
 

@@ -67,7 +67,7 @@ class Ppgs(Enum):
     INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeSeries:
     """Ordered periods as three read-only columns of one length.
 

@@ -72,7 +72,7 @@ class SimConfig:
         root_seed(self.root_seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WealthPath:
     """One simulated path: ``n+1`` log-wealth values and ``n`` win flags."""
 

@@ -62,6 +62,13 @@ class TestExitCodes:
         assert run(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sds", [",", "", " , ,"])
+    def test_number_list_without_numbers_exits_two(self, sds, capsys):
+        assert run(["miller", "--sds", sds, "--shares", "50", "--buyers", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --sds: invalid _float_list value: {sds!r}\n" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

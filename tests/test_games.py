@@ -75,6 +75,16 @@ class TestPayoffs:
         with pytest.raises(DomainError, match=re.escape(message)):
             GameTranscript(np.array(c1), np.array(c2), stake, rake)
 
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    def test_transcript_takes_any_sequence(self, kind):
+        want = GameTranscript(np.array(["H", "T", "T"]), np.array(["H", "H", "T"]), 2.0, 0.5)
+        t = GameTranscript(kind(["H", "T", "T"]), kind(["H", "H", "T"]), 2.0, 0.5)
+        assert_same((t.choices1, t.choices2, t.gains1, t.gains2),
+                    (want.choices1, want.choices2, want.gains1, want.gains2))
+        assert GameTranscript(kind(["H"]), kind(["T"]), 1.0).gains1.tolist() == [-1.0]
+        with pytest.raises(DomainError, match="choices1 must be H or T, got 'X'"):
+            GameTranscript(kind(["H", "X"]), kind(["T", "H"]), 1.0)
+
     def test_matching_pennies_cells(self):
         # play_match and spy_match apply the payoff rule cell by cell.
         for stake in (1.0, 2.5):

@@ -9,6 +9,7 @@ never a NaN result.  numpy numbers stay accepted.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import sys
@@ -36,6 +37,7 @@ from betlab.games import (
     Biased,
     CoinFlip,
     FrequencyExploiter,
+    GameTranscript,
     frequency_exploiter,
     play_match,
     responder_expected_gain,
@@ -63,6 +65,7 @@ from betlab.seeding import stream
 from betlab.sysstats import Filter, TradeSeries, average_gain_per_year, ppgs_classify, summarize
 from betlab.wealthsim import (
     SimConfig,
+    WealthPath,
     adaptive_policy_growth,
     outcome_matrix,
     ruin_probability_all_in,
@@ -461,6 +464,25 @@ def test_numpy_numbers_accepted():
     assert prices.shape == (3,)
     assert growth_curve(BET, np.array([0, 0.5], dtype=np.float32)).fractions.dtype == float
     assert best_feasible(GRID, f64(0.5)).f_star == 0.1
+
+
+# Two values that hold arrays of more than one entry: ``==`` between such
+# dataclasses raised numpy's "truth value ... is ambiguous" ValueError.
+ARRAY_HOLDERS = {
+    "GameTranscript": lambda: GameTranscript(np.array(["H", "T"]), np.array(["T", "T"]), 1.0),
+    "WealthPath": lambda: WealthPath(np.zeros(3), np.array([True, False])),
+    "GrowthCurve": lambda: growth_curve(BET, [0.1, 0.2]),
+    "TradeSeries": lambda: TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5]),
+    "EmpiricalOpinions": lambda: EmpiricalOpinions(samples=[50.0, 40.0]),
+    "GrationalGrid": lambda: dataclasses.replace(GRID),
+    "GrationalSolution": lambda: best_feasible(dataclasses.replace(GRID), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b and not a == b
 
 
 class TestRules:

@@ -1,8 +1,9 @@
 """Byte-identity guard for everything betlab prints.
 
 Each case runs a CLI subcommand or an experiment script in-process and
-compares the sha256 of its stdout with a digest recorded from the code
-before the output format moved into one module.  The cases cover every
+compares the sha256 of its stdout, and of the file it writes when given
+``--output``, with a digest recorded from the code before the output
+format moved into one module.  The cases cover every
 subcommand in text, json and csv, the NA cells (kelly without an edge,
 simulate with one path), and the three scripts at small sizes.
 
@@ -363,16 +364,25 @@ def run_script(argv, monkeypatch) -> None:
         assert exc.code in (0, None), exc.code
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    argv, expected = CASES[name]
+def run_case(argv, tmp_path, monkeypatch) -> None:
     if argv[0].endswith(".py"):
         run_script(argv, monkeypatch)
     else:
         assert run(resolve(argv, tmp_path)) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
+    """The case's stdout, and the file it writes with ``--output``, match."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    argv, expected = CASES[name]
+    run_case(argv, tmp_path, monkeypatch)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected, out
+    target = tmp_path / "output"
+    run_case([*argv, "--output", str(target)], tmp_path, monkeypatch)
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == expected
 
 
 HEADER = "period_id,side,pnl\n"

@@ -43,7 +43,8 @@ BAD = [
     ("growth_frontier.py", ["--paths", "10"], 1),  # below the Monte Carlo budget
     ("growth_frontier.py", ["--caps", "0.1,x"], 2),
     ("growth_frontier.py", ["--caps", "2"], 1),
-    ("growth_frontier.py", ["--caps", ","], 1),
+    ("growth_frontier.py", ["--caps", ","], 2),  # no cap value
+    ("growth_frontier.py", ["--caps", ""], 2),
     ("pennies_tournament.py", ["--rounds", "0"], 1),
     # argparse stores [] for --flag=-- without calling the flag's type
     ("overbetting_demo.py", ["--p=--"], 2),
