@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoPositiveRoot, fraction, probability, within
+from .errors import DomainError, NoPositiveRoot, column, fraction, probability, within
 
 @dataclass(frozen=True)
 class BetSpec:
@@ -53,32 +53,23 @@ class BetSpec:
 
 @dataclass(frozen=True, eq=False)
 class GrowthCurve:
-    """Asymptotic growth rates evaluated on an increasing grid of fractions."""
+    """Finite asymptotic growth rates on an increasing grid of fractions, both read-only."""
 
     fractions: np.ndarray
     rates: np.ndarray
 
     def __post_init__(self) -> None:
-        fractions = _fraction_grid(self.fractions)
-        rates = np.asarray(self.rates, dtype=float)
-        if fractions.shape != rates.shape or fractions.ndim != 1:
-            raise DomainError("fractions and rates must be 1-d sequences of equal length")
+        fractions = column(self.fractions, "fractions", float)
+        if not np.all((fractions >= 0) & (fractions < 1)):
+            raise DomainError("fractions must lie in [0, 1)")
         if np.any(np.diff(fractions) <= 0):
             raise DomainError("fractions must be strictly increasing")
         object.__setattr__(self, "fractions", fractions)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rates", column(self.rates, "rates", float, fractions.size))
 
     def argmax_fraction(self) -> float:
         """Grid fraction with the largest growth rate."""
         return float(self.fractions[int(np.argmax(self.rates))])
-
-
-def _fraction_grid(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``values`` as a float array of betting fractions, each in [0, 1)."""
-    fractions = np.asarray(values)
-    if fractions.dtype.kind not in "iuf" or not np.all((fractions >= 0) & (fractions < 1)):
-        raise DomainError("fractions must lie in [0, 1)")
-    return fractions.astype(float, copy=False)
 
 
 def kelly_fraction(bet: BetSpec) -> float:
@@ -103,9 +94,11 @@ def growth_derivative(bet: BetSpec, f: float) -> float:
 
 
 def growth_curve(bet: BetSpec, fractions: Sequence[float] | np.ndarray) -> GrowthCurve:
-    """Evaluate the growth rate on an increasing grid of fractions."""
-    fractions = _fraction_grid(fractions)
-    rates = bet.p * np.log1p(bet.d * fractions) + bet.q * np.log1p(-fractions)
+    """Evaluate the growth rate on an increasing grid of fractions.  A fraction
+    outside [0, 1) makes a NaN rate here, but the curve refuses the grid first."""
+    fractions = column(fractions, "fractions", float)
+    with np.errstate(all="ignore"):
+        rates = bet.p * np.log1p(bet.d * fractions) + bet.q * np.log1p(-fractions)
     return GrowthCurve(fractions=fractions, rates=rates)
 
 

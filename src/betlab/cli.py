@@ -46,6 +46,20 @@ class CommandOutput:
     lines: Iterable[Sequence[object]] | None = None  # None: payload.items()
 
 
+def _argument(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse`` as an argparse type whose ``ValueError`` prints its message."""
+
+    @functools.wraps(parse)
+    def convert(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+@_argument
 def _seed_type(text: str) -> int:
     return root_seed(int(text), "seed")
 
@@ -58,10 +72,11 @@ def _resolve_seed(flag_value: int | None) -> int:
         return DEFAULT_SEED
     try:
         return _seed_type(env)
-    except ValueError as exc:
+    except argparse.ArgumentTypeError as exc:
         raise DomainError(f"bad {SEED_ENV_VAR} value {env!r}: {exc}") from exc
 
 
+@_argument
 def _float_list(text: str) -> list[float]:
     """At least one comma-separated number; else a usage error."""
     values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -314,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("pennies", parents=[common], help="matching-pennies matches")
-    p.add_argument("--p1", type=games.parse_strategy, required=True)
-    p.add_argument("--p2", type=games.parse_strategy, default=None)
+    p.add_argument("--p1", type=_argument(games.parse_strategy), required=True)
+    p.add_argument("--p2", type=_argument(games.parse_strategy), default=None)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--stake", type=float, default=1.0, help="stake per round")
     p.add_argument("--rake", type=float, default=0.0, help="per-round referee fee")
@@ -337,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("popp", parents=[common], help="classify a lifecycle sign vector")
     p.add_argument(
         "--state",
-        type=popp.StateVars.from_tokens,
+        type=_argument(popp.StateVars.from_tokens),
         required=True,
         help="nine comma-separated levels: ret,vol,sr,spd,pop,lev,sdiv,slink,srob",
     )

@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the input rules.
 
 Every public entry point checks its integers (counts, array lengths, seeds),
-probabilities, betting fractions and other reals with the functions below, so
-each rule and its message are written once.  Each rejects NaN, infinities,
-bools, strings and out-of-range values with a :class:`DomainError`; numpy
-numbers pass.
+probabilities, betting fractions, other reals and arrays with the functions
+below, so each rule and its message are written once.  Each rejects NaN,
+infinities, bools, strings and out-of-range values with a
+:class:`DomainError`; numpy numbers pass.
 """
 
 import math
@@ -111,3 +111,31 @@ def fraction(value: object, what: str = "betting fraction") -> float:
 def root_seed(value: object, what: str = "root_seed") -> int:
     """``value`` as an int in [0, 2**64), numpy integers included."""
     return integer(value, what, 0, 2**64 - 1)
+
+
+# The numpy kinds of a column's entries, and their word in a message: like
+# ``real``, a float column takes no bools or strings.
+_KINDS = {float: ("iuf", "real "), bool: ("b", "bool ")}
+
+
+def column(value: object, what: str, dtype: type | None = None, size: int | None = None):
+    """``value`` as a new, read-only, 1-d numpy array of ``dtype`` with ``size``
+    entries, or at least one when None; a float column must be finite."""
+    import numpy as np  # here, so that importing this module loads no numpy
+
+    kinds, word = _KINDS.get(dtype, ("", ""))
+    entries = f"at least one {word}entry" if size is None else f"{size} {word}entries"
+    try:  # a float or bool column converts once its entries' kind is checked
+        array = np.array(value, dtype=None if kinds else dtype)
+        got = f"shape {array.shape} of {array.dtype}"
+    except (TypeError, ValueError):
+        array, got = np.array(None), "a ragged or unconvertible value"
+    sized = array.size >= 1 if size is None else array.size == size
+    if array.ndim != 1 or not sized or (kinds and array.dtype.kind not in kinds):
+        raise DomainError(f"{what} must be a 1-d sequence of {entries}, got {got}")
+    array = array.astype(dtype or array.dtype, copy=False)
+    if dtype is float and not np.isfinite(array).all():
+        k = int(np.argmin(np.isfinite(array)))
+        raise DomainError(f"{what} must be finite, got {array[k]} at index {k}")
+    array.flags.writeable = False
+    return array

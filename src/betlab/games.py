@@ -25,7 +25,7 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import MAX_LENGTH, DomainError, count, integer, probability, shown, within
+from .errors import MAX_LENGTH, DomainError, column, count, integer, probability, shown, within
 from .seeding import stream
 
 H = "H"
@@ -40,7 +40,8 @@ _CSV_BLOCK = 4096
 class GameTranscript:
     """A match's two choice columns (H or T, one entry per round) and terms.
     The gains follow by the payoff rule: player 1 wins the stake on a match,
-    player 2 on a mismatch, and each pays half the rake every round."""
+    player 2 on a mismatch, and each pays half the rake every round.  The
+    four columns are read-only."""
 
     choices1: np.ndarray
     choices2: np.ndarray
@@ -50,18 +51,18 @@ class GameTranscript:
     gains2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        c1, c2 = np.asarray(self.choices1), np.asarray(self.choices2)
-        if not (c1.ndim == c2.ndim == 1 and c1.size == c2.size):
-            raise DomainError("transcript arrays must be 1-d and of equal length")
+        c1 = column(self.choices1, "choices1")
+        c2 = column(self.choices2, "choices2", size=c1.size)
         _check_match(c1.size, self.stake, self.rake)
-        for name, column in (("choices1", c1), ("choices2", c2)):
-            bad = column[(column != H) & (column != T)]
+        for name, choices in (("choices1", c1), ("choices2", c2)):
+            bad = choices[(choices != H) & (choices != T)]
             if bad.size:
                 _choice(str(bad[0]), name)  # refuses it
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, choices)
         match, stake, half_rake = c1 == c2, self.stake, self.rake / 2.0
-        object.__setattr__(self, "gains1", np.where(match, stake, -stake) - half_rake)
-        object.__setattr__(self, "gains2", np.where(match, -stake, stake) - half_rake)
+        for name, win in (("gains1", match), ("gains2", ~match)):
+            gains = np.where(win, stake, -stake) - half_rake
+            object.__setattr__(self, name, column(gains, name, float))
 
     @property
     def n_rounds(self) -> int:
@@ -82,7 +83,8 @@ class Strategy:
     A history-blind strategy implements ``column(rng, player, n_rounds)``
     and returns the match's whole choice array (dtype ``U1``) at once.  The
     one adaptive strategy, :class:`FrequencyExploiter`, plays round by
-    round through ``begin``/``choose``/``observe`` instead.
+    round instead: its ``begin`` returns a new exploiter for one match,
+    whose ``choose``/``observe`` play it.
     """
 
 
@@ -151,11 +153,12 @@ class FrequencyExploiter(Strategy):
     def __init__(self, k: int = 2) -> None:
         self.k = integer(k, "context order", 1, 8)
 
-    def begin(self, rng: np.random.Generator, player: int) -> None:
-        self._reply = _replies(player)
-        self._rng = rng
-        self._opp: list[str] = []
-        self._table: dict[tuple[str, ...], list[int]] = {}
+    def begin(self, rng: np.random.Generator, player: int) -> FrequencyExploiter:
+        """A new exploiter that plays one match from seat ``player``: it, not
+        this strategy, holds the match's history and table."""
+        seat = FrequencyExploiter(self.k)
+        seat._reply, seat._rng, seat._opp, seat._table = _replies(player), rng, [], {}
+        return seat
 
     def choose(self) -> str:
         if len(self._opp) >= self.k:
@@ -197,13 +200,14 @@ def _check_match(n_rounds: int, stake: float, rake: float) -> None:
         raise DomainError(f"stake {stake} and rake {rake} over {shown(n_rounds)} rounds overflow")
 
 
-def _column(strategy: Strategy, root_seed: int, player: int, n_rounds: int) -> np.ndarray | None:
+def _column(
+    strategy: Strategy, root_seed: int, player: int, n_rounds: int
+) -> np.ndarray | FrequencyExploiter:
     """A blind seat's choices from its stream (root_seed, player); for the
-    exploiter, None once it has begun on that stream."""
+    exploiter, a new one begun on that stream."""
     rng = stream(root_seed, player)
     if isinstance(strategy, FrequencyExploiter):
-        strategy.begin(rng, player)
-        return None
+        return strategy.begin(rng, player)
     return strategy.column(rng, player, n_rounds)
 
 
@@ -223,19 +227,18 @@ def play_match(
     order of drawing changes no transcript.
     """
     _check_match(n_rounds, stake, rake)
-    seats = (strategy1, strategy2)
-    columns = [_column(s, root_seed, i + 1, n_rounds) for i, s in enumerate(seats)]
-    adaptive = [i for i, c in enumerate(columns) if c is None]
+    seats = [_column(s, root_seed, i + 1, n_rounds) for i, s in enumerate((strategy1, strategy2))]
+    adaptive = [i for i, seat in enumerate(seats) if isinstance(seat, FrequencyExploiter)]
     if adaptive:
-        played = [[] if c is None else c.tolist() for c in columns]
+        played = [[] if i in adaptive else seat.tolist() for i, seat in enumerate(seats)]
         for r in range(n_rounds):
             for i in adaptive:
                 played[i].append(seats[i].choose())
             for i in adaptive:
                 seats[i].observe(played[1 - i][r])
         for i in adaptive:
-            columns[i] = np.array(played[i], dtype="U1")
-    return GameTranscript(columns[0], columns[1], stake, rake)
+            seats[i] = np.array(played[i], dtype="U1")
+    return GameTranscript(seats[0], seats[1], stake, rake)
 
 
 def spy_match(
@@ -248,11 +251,11 @@ def spy_match(
     """
     _check_match(n_rounds, stake, 0.0)
     c1 = _column(strategy1, root_seed, 1, n_rounds)
-    if c1 is None:
+    if isinstance(c1, FrequencyExploiter):
         played = []
         for _ in range(n_rounds):
-            played.append(strategy1.choose())
-            strategy1.observe(_OTHER[played[-1]])
+            played.append(c1.choose())
+            c1.observe(_OTHER[played[-1]])
         c1 = np.array(played, dtype="U1")
     return GameTranscript(c1, np.where(c1 == H, T, H), stake)
 
@@ -279,11 +282,10 @@ def frequency_exploiter(
     player: int = 2,
 ) -> str:
     """Stateless form of the exploiter: next choice given opponent history."""
-    exploiter = FrequencyExploiter(k=k)
-    exploiter.begin(stream(0), player=player)
+    seat = FrequencyExploiter(k=k).begin(stream(0), player=player)
     for choice in history:
-        exploiter.observe(_choice(choice, "history entries"))
-    return exploiter.choose()
+        seat.observe(_choice(choice, "history entries"))
+    return seat.choose()
 
 
 def parse_strategy(text: str) -> Strategy:

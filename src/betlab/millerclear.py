@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_LENGTH, DomainError, NoClear, count, integer, shown, within
+from .errors import MAX_LENGTH, DomainError, NoClear, column, count, integer, shown, within
 from .seeding import stream
 
 
@@ -48,19 +48,15 @@ class NormalOpinions:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalOpinions:
-    """A concrete sample of buyer estimates, one per potential buyer."""
+    """A concrete sample of buyer estimates, one per potential buyer, read-only."""
 
     samples: np.ndarray
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size == 0:
-            raise DomainError("samples must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("samples must be finite")
+        samples = column(self.samples, "samples", float)
         if self.truncate:
-            samples = np.maximum(samples, 0.0)
+            samples = column(np.maximum(samples, 0.0), "samples", float)
         object.__setattr__(self, "samples", samples)
 
 
@@ -136,14 +132,9 @@ def dispersion_sweep(
     Strictly increasing in sd when the quantile level is above 1/2,
     pinned at the mean at 1/2, decreasing below.
     """
-    try:
-        each = iter(sds)
-    except TypeError:
-        raise DomainError(f"sds must be a sequence of reals, got {shown(sds, repr)}") from None
-    # Each sd passes the opinion rules before it becomes a float.
-    sds = np.asarray([NormalOpinions(mean, sd).sd for sd in each], dtype=float)
-    if sds.size == 0 or np.any(np.diff(sds) < 0):
-        raise DomainError("sds must be nonempty and nondecreasing")
+    sds = column(sds, "sds", float)
+    if np.any(np.diff(sds) < 0):
+        raise DomainError("sds must be nondecreasing")
     return np.asarray([clearing_price(NormalOpinions(mean, sd), auction) for sd in sds])
 
 

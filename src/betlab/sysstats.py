@@ -42,7 +42,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import render
-from .errors import DomainError, EmptySelection, within
+from .errors import DomainError, EmptySelection, column, within
 from .wealthsim import LossKind, path_losses
 
 # Exact runs-test enumeration up to this length; normal approximation
@@ -69,7 +69,7 @@ class Ppgs(Enum):
 
 @dataclass(frozen=True, eq=False)
 class TradeSeries:
-    """Ordered periods as three read-only columns of one length.
+    """Ordered periods as three read-only columns of one length, at least one.
 
     ``period_id`` holds Python ints of any size (object dtype), strictly
     increasing; ``side`` holds the letters L, S and F; ``pnl`` holds
@@ -83,27 +83,20 @@ class TradeSeries:
     pnl: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = np.array(self.period_id, dtype=object)
-        side = np.array(self.side)
-        pnl = np.array(self.pnl, dtype=float)
-        if not (ids.ndim == side.ndim == pnl.ndim == 1 and ids.size == side.size == pnl.size):
-            raise DomainError("period_id, side and pnl must be 1-d columns of one length")
-        if side.size and not (side.dtype.kind == "U" and np.isin(side, _SIDES).all()):
+        ids = column(self.period_id, "period_id", object)
+        side = column(self.side, "side", size=ids.size)
+        pnl = column(self.pnl, "pnl", float, ids.size)
+        if not (side.dtype.kind == "U" and np.isin(side, _SIDES).all()):
             raise DomainError("sides must be one of L,S,F")
-        side = side.astype("U1")
         if np.any(ids[1:] <= ids[:-1]):
             raise DomainError("period_ids must be strictly increasing")
-        bad = ~np.isfinite(pnl) | ((side == "F") & (pnl != 0.0))
-        if bad.any():
-            k = int(bad.argmax())
-            period, value = ids[k], float(pnl[k])
-            if not math.isfinite(value):
-                raise DomainError(f"period {period}: pnl must be finite, got {value}")
-            raise DomainError(f"flat period {period} carries pnl {value}")
-        columns = {"period_id": ids, "side": side, "pnl": pnl}
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+        flat = (side == "F") & (pnl != 0.0)
+        if flat.any():
+            k = int(flat.argmax())
+            raise DomainError(f"flat period {ids[k]} carries pnl {float(pnl[k])}")
+        object.__setattr__(self, "period_id", ids)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "pnl", pnl)
 
     def __len__(self) -> int:
         return self.pnl.size
@@ -148,9 +141,7 @@ def runs_test(outcomes: Sequence[bool]) -> RunsResult:
     approximation with continuity correction above.  A sequence with
     only one outcome value present is degenerate: one run, p-value 1.
     """
-    flags = np.asarray(outcomes, dtype=bool)
-    if flags.ndim != 1 or not flags.size:
-        raise DomainError("runs test needs a nonempty sequence")
+    flags = column(outcomes, "outcomes", bool)
     runs = 1 + int(np.count_nonzero(flags[1:] != flags[:-1]))
     n1 = int(np.count_nonzero(flags))
     n2 = flags.size - n1
@@ -190,6 +181,8 @@ def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
 
 def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     """Summary-table row for one filter; see module docstring for semantics."""
+    if not isinstance(which, Filter):
+        raise DomainError(f"which must be a Filter, got {which!r}")
     side, universe = _universe(series, which)
     if not universe.size:
         raise EmptySelection(f"no periods match filter {which.value!r}")

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import MAX_LENGTH, DomainError, count, fraction, integer, root_seed, shown, within
+from .errors import (MAX_LENGTH, DomainError, column, count, fraction, integer, root_seed,
+                     shown, within)
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -74,22 +75,15 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class WealthPath:
-    """One simulated path: ``n+1`` log-wealth values and ``n`` win flags."""
+    """One simulated path: ``n+1`` log-wealth values and ``n`` win flags, read-only."""
 
     log_wealth: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        lw = np.asarray(self.log_wealth, dtype=float)
-        out = np.asarray(self.outcomes, dtype=bool)
-        if lw.ndim != 1 or lw.size < 1:
-            raise DomainError("log_wealth must be a nonempty 1-d sequence")
-        if out.shape != (lw.size - 1,):
-            raise DomainError("outcomes must have one entry per step")
-        if not np.all(np.isfinite(lw)):
-            raise DomainError("log wealth must be finite")
+        lw = column(self.log_wealth, "log_wealth", float)
         object.__setattr__(self, "log_wealth", lw)
-        object.__setattr__(self, "outcomes", out)
+        object.__setattr__(self, "outcomes", column(self.outcomes, "outcomes", bool, lw.size - 1))
 
     @property
     def n_steps(self) -> int:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,8 +127,21 @@ class TestGrowthCurve:
         assert 0.0 < g1 < g2
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(DomainError, match="equal length"):
+        with pytest.raises(DomainError, match="rates must be a 1-d sequence of 2 real entries"):
             GrowthCurve(fractions=np.array([0.0, 0.1]), rates=np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "fractions, rates, message",
+        [
+            # argmax_fraction once returned 0.0 here.
+            ([0.0, 0.5], [math.nan, 1.0], "rates must be finite, got nan at index 0"),
+            # argmax_fraction once raised numpy's ValueError here.
+            ([], [], "fractions must be a 1-d sequence of at least one real entry"),
+        ],
+    )
+    def test_rejects_bad_columns(self, fractions, rates, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            GrowthCurve(fractions, rates)
 
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):

@@ -67,7 +67,28 @@ class TestExitCodes:
         assert run(["miller", "--sds", sds, "--shares", "50", "--buyers", "1000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --sds: invalid _float_list value: {sds!r}\n" in captured.err
+        assert f"argument --sds: expected comma-separated numbers, got {sds!r}\n" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kelly", "--p", "0.6", "--d", "1", "--seed", "-1"],
+             f"argument --seed: seed must lie in [0, {2**64 - 1}], got -1"),
+            (["miller", "--sds", "1,x", "--shares", "50", "--buyers", "1000"],
+             "argument --sds: could not convert string to float: 'x'"),
+            (["pennies", "--p1", "exploiter:k=9", "--p2", "coinflip", "--rounds", "3"],
+             "argument --p1: bad strategy spec 'exploiter:k=9': "
+             "context order must lie in [1, 8], got 9"),
+            (["popp", "--state", "a,b"],
+             "argument --state: expected 9 comma-separated levels "
+             "(ret,vol,sr,spd,pop,lev,sdiv,slink,srob), got 2"),
+        ],
+    )
+    def test_bad_flag_value_prints_its_rule(self, argv, message, capsys):
+        # argparse once printed "invalid <function name> value" instead.
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f": error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -44,7 +44,7 @@ class TestPayoffs:
             Alternator("X")
 
     def test_transcript_arrays_must_match(self):
-        with pytest.raises(DomainError, match="equal length"):
+        with pytest.raises(DomainError, match="choices2 must be a 1-d sequence of 2 entries"):
             GameTranscript(choices1=np.array(["H", "T"]), choices2=np.array(["H"]), stake=1.0)
 
     @settings(max_examples=200, deadline=None)
@@ -66,7 +66,7 @@ class TestPayoffs:
         [
             (["H", "X"], ["H", "T"], 1.0, 0.0, "choices1 must be H or T, got 'X'"),
             (["H", "T"], ["T", "X"], 1.0, 0.0, "choices2 must be H or T, got 'X'"),
-            (["H", "T"], ["H"], 1.0, 0.0, "equal length"),
+            (["H", "T"], ["H"], 1.0, 0.0, "choices2 must be a 1-d sequence of 2 entries"),
             (["H"], ["T"], 0.0, 0.0, "stake must lie in"),
             (["H"], ["T"], 1.0, math.nan, "rake must lie in"),
         ],
@@ -249,6 +249,16 @@ class TestOracle:
         assert_same(transcript_arrays(got), want)
         got = spy_match(s1, n_rounds, root_seed, stake=stake)
         assert_same(transcript_arrays(got), oracle_spy(s1, n_rounds, root_seed, stake=stake))
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(1, 8), n_rounds=st.integers(1, 300), root_seed=st.integers(0, 2**64 - 1))
+    # One instance in both seats once shared its history and table: 134.0, not 44.0.
+    @example(k=2, n_rounds=200, root_seed=1)
+    def test_one_exploiter_in_both_seats(self, k, n_rounds, root_seed):
+        exploiter = FrequencyExploiter(k)
+        got = play_match(exploiter, exploiter, n_rounds, root_seed)
+        want = play_match(FrequencyExploiter(k), FrequencyExploiter(k), n_rounds, root_seed)
+        assert_same(transcript_arrays(got), transcript_arrays(want))
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_one_stream_per_seat(self, monkeypatch, spec):

@@ -1,17 +1,19 @@
-"""Counts, probabilities, betting fractions, seeds, seats and other real
-arguments at every public entry point.
+"""Counts, probabilities, betting fractions, seeds, seats, other real
+arguments and arrays at every public entry point.
 
 Each entry point that takes one of these hands it to a rule in
 ``betlab.errors``.  A bad value -- NaN, an infinity, a bool, a string,
-2.5 where an integer belongs, or a number outside the range -- must raise
-``DomainError``: never a ``TypeError``/``ValueError`` from deeper down, and
-never a NaN result.  numpy numbers stay accepted.
+2.5 where an integer belongs, a number outside the range, or an array of
+the wrong shape -- must raise ``DomainError``: never a
+``TypeError``/``ValueError`` from deeper down, and never a NaN result.
+numpy numbers stay accepted.
 """
 
 import contextlib
 import dataclasses
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -62,7 +64,14 @@ from betlab.millerclear import (
 )
 from betlab.popp import DEFAULT_MULTIPLIERS, Phase, kelly_multiplier
 from betlab.seeding import stream
-from betlab.sysstats import Filter, TradeSeries, average_gain_per_year, ppgs_classify, summarize
+from betlab.sysstats import (
+    Filter,
+    TradeSeries,
+    average_gain_per_year,
+    ppgs_classify,
+    runs_test,
+    summarize,
+)
 from betlab.wealthsim import (
     SimConfig,
     WealthPath,
@@ -466,23 +475,106 @@ def test_numpy_numbers_accepted():
     assert best_feasible(GRID, f64(0.5)).f_star == 0.1
 
 
-# Two values that hold arrays of more than one entry: ``==`` between such
-# dataclasses raised numpy's "truth value ... is ambiguous" ValueError.
+# Each record that holds arrays: how to build it, and the arrays it is built
+# from.  ``==`` between two such dataclasses raised numpy's "truth value ...
+# is ambiguous" ValueError.  The first two entries of each array a record
+# copies differ, so writing one over the other changes the array.
+GRID_COLUMNS = [getattr(GRID, field.name) for field in dataclasses.fields(GRID)]
 ARRAY_HOLDERS = {
-    "GameTranscript": lambda: GameTranscript(np.array(["H", "T"]), np.array(["T", "T"]), 1.0),
-    "WealthPath": lambda: WealthPath(np.zeros(3), np.array([True, False])),
-    "GrowthCurve": lambda: growth_curve(BET, [0.1, 0.2]),
-    "TradeSeries": lambda: TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5]),
-    "EmpiricalOpinions": lambda: EmpiricalOpinions(samples=[50.0, 40.0]),
-    "GrationalGrid": lambda: dataclasses.replace(GRID),
-    "GrationalSolution": lambda: best_feasible(dataclasses.replace(GRID), 0.5),
+    "GameTranscript": (lambda c1, c2: GameTranscript(c1, c2, 1.0), ["H", "T"], ["T", "H"]),
+    "WealthPath": (WealthPath, [0.0, 0.1, -0.1], [True, False]),
+    "GrowthCurve": (GrowthCurve, [0.1, 0.2], [0.01, 0.02]),
+    "growth_curve": (lambda f: growth_curve(BET, f), [0.1, 0.2]),
+    "TradeSeries": (TradeSeries, [1, 2], ["L", "S"], [1.0, -0.5]),
+    "EmpiricalOpinions": (EmpiricalOpinions, [50.0, 40.0]),
+    "EmpiricalOpinions.truncate": (lambda s: EmpiricalOpinions(s, truncate=True), [5.0, -4.0]),
+    "GrationalGrid": (GrationalGrid, *GRID_COLUMNS),
+    "GrationalSolution": (lambda *c: best_feasible(GrationalGrid(*c), 0.5), *GRID_COLUMNS),
 }
+# Only the solver builds a grid, from arrays of its own, and holds them as they are.
+SOLVER_RECORDS = {"GrationalGrid", "GrationalSolution"}
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
 def test_array_holders_compare_by_identity(name):
-    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    build, *arrays = ARRAY_HOLDERS[name]
+    a, b = build(*arrays), build(*arrays)
     assert a == a and a != b and not a == b
+
+
+@pytest.mark.parametrize("name", sorted(set(ARRAY_HOLDERS) - SOLVER_RECORDS))
+def test_array_holders_keep_read_only_copies(name):
+    # Changing the caller's arrays leaves the record as it was built, and
+    # every array the record holds refuses a write.
+    build, *values = ARRAY_HOLDERS[name]
+    arrays = [np.array(value) for value in values]
+    record = build(*arrays)
+    held = {
+        field.name: getattr(record, field.name)
+        for field in dataclasses.fields(record)
+        if isinstance(getattr(record, field.name), np.ndarray)
+    }
+    before = {field: array.copy() for field, array in held.items()}
+    for array in arrays:
+        array[0] = array[1]
+    assert held
+    for field, array in held.items():
+        assert np.array_equal(array, before[field]), field
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+# Array arguments checked by ``errors.column``: the site, then the column's
+# dtype and a value of its kind but of a length the site refuses (None where
+# any length is good).  Every other argument holds one entry, or two
+# log-wealth values for one outcome.
+COLUMN_SITES = {
+    "WealthPath.log_wealth": (lambda v: WealthPath(v, [True]), float, [0.0, 0.1, 0.2]),
+    "WealthPath.outcomes": (lambda v: WealthPath([0.0, 0.1], v), bool, [True, False]),
+    "GameTranscript.choices1": (lambda v: GameTranscript(v, ["H"], 1.0), None, ["H", "T"]),
+    "GameTranscript.choices2": (lambda v: GameTranscript(["H"], v, 1.0), None, ["H", "T"]),
+    "TradeSeries.period_id": (lambda v: TradeSeries(v, ["L"], [1.0]), object, [1, 2]),
+    "TradeSeries.side": (lambda v: TradeSeries([1], v, [1.0]), None, ["L", "S"]),
+    "TradeSeries.pnl": (lambda v: TradeSeries([1], ["L"], v), float, [1.0, 2.0]),
+    "EmpiricalOpinions.samples": (EmpiricalOpinions, float, None),
+    "GrowthCurve.fractions": (lambda v: GrowthCurve(v, [0.0]), float, [0.1, 0.2]),
+    "GrowthCurve.rates": (lambda v: GrowthCurve([0.1], v), float, [0.0, 0.0]),
+    "growth_curve.fractions": (lambda v: growth_curve(BET, v), float, None),
+    "runs_test.outcomes": (runs_test, bool, None),
+}
+# Not a 1-d sequence of at least one entry: 0-d, 2-d, empty and ragged values.
+NOT_COLUMN = st.sampled_from([
+    "abc", "H", "0.5", b"1", 0.5, 7, None, True, np.float64(0.5), np.array(0.5), {"H": 1},
+    [[0.5]], [["H"]], [[True, False]], np.zeros((2, 2)), np.array([["L"]]),
+    [], (), np.array([]), np.zeros(0, dtype=bool), np.array([], dtype="U1"),
+    [[0.5, 0.5], [0.5]], [["H"], ["H", "T"]], [1, [2, 3]], [True, [False]],
+])
+# Entries a float column refuses: like ``real``, no strings, bools, None,
+# complex numbers or ints past double range; nor NaN or an infinity.
+BAD_REAL_ENTRIES = st.sampled_from([
+    ["a", "b"], ["0.5"], [0.5, "x"], [b"1"], [None], [0.5, None], [1j], [10**400],
+    [True, False], np.array([True]),
+    [math.nan], [0.5, math.inf], [-math.inf], np.array([0.1, math.nan]), [np.float32("inf")],
+])
+# Entries a bool column refuses: numbers, strings and None.
+BAD_BOOL_ENTRIES = st.sampled_from([[0, 1], [1], [0.5], [math.nan], ["T"], [None], np.arange(2)])
+BAD_ENTRIES = {float: BAD_REAL_ENTRIES, bool: BAD_BOOL_ENTRIES}
+COLUMN_MESSAGE = re.compile(
+    r"\w+ must be a 1-d sequence of (at least one|\d+) (real |bool )?entr(y|ies), got .+"
+    r"|\w+ must be finite, got \S+ at index \d+"
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(sorted(COLUMN_SITES)), data=st.data())
+def test_columns(name, data):
+    site, dtype, wrong_length = COLUMN_SITES[name]
+    values = NOT_COLUMN | BAD_ENTRIES.get(dtype, st.nothing())
+    if wrong_length is not None:
+        values |= st.just(wrong_length)
+    with pytest.raises(DomainError) as info:
+        site(data.draw(values))
+    assert COLUMN_MESSAGE.fullmatch(str(info.value)), str(info.value)
 
 
 class TestRules:
@@ -517,6 +609,34 @@ class TestRules:
             ("integer", (9, "context order", 1, 8), "context order must lie in [1, 8], got 9"),
             ("integer", (0, "k", -math.inf, -1), "k must lie in (-inf, -1], got 0"),
             ("integer", (0, "n", 1, sys.maxsize), f"n must lie in [1, {sys.maxsize}], got 0"),
+            (
+                "column",
+                ([[1.0]], "x", float),
+                "x must be a 1-d sequence of at least one real entry, got shape (1, 1) of float64",
+            ),
+            (
+                "column",
+                ([], "o", bool),
+                "o must be a 1-d sequence of at least one bool entry, got shape (0,) of float64",
+            ),
+            (
+                "column",
+                (["H"], "c", None, 2),
+                "c must be a 1-d sequence of 2 entries, got shape (1,) of <U1",
+            ),
+            (
+                "column",
+                (["0.5"], "x", float),
+                "x must be a 1-d sequence of at least one real entry, got shape (1,) of <U3",
+            ),
+            (
+                "column",
+                ([[1.0], [1.0, 2.0]], "x", float),
+                "x must be a 1-d sequence of at least one real entry, "
+                "got a ragged or unconvertible value",
+            ),
+            ("column", ([1.0, math.nan], "x", float), "x must be finite, got nan at index 1"),
+            ("column", ([-math.inf], "x", float, 1), "x must be finite, got -inf at index 0"),
         ],
     )
     def test_message(self, rule, args, message):
@@ -530,6 +650,13 @@ class TestRules:
         assert type(errors.probability(np.float32(0.5), "p")) is float
         assert errors.fraction(0) == 0.0
         assert type(errors.real(np.int64(-3), "x")) is float
+
+    def test_column_is_a_new_read_only_array(self):
+        given = np.arange(3.0)
+        got = errors.column(given, "x", float)
+        assert not np.shares_memory(got, given) and not got.flags.writeable
+        assert errors.column(np.arange(3), "x", float).dtype == float
+        assert errors.column([2**70], "id", object)[0] == 2**70
 
 
 def test_seed_env_message(monkeypatch):

@@ -126,11 +126,12 @@ class TestDispersionSweep:
     @pytest.mark.parametrize(
         "sds, message",
         [
-            pytest.param(["a"], "sd must be a real number, got 'a'", id="a"),
-            pytest.param([None], "sd must be a real number, got None", id="None"),
-            pytest.param([1j], "sd must be a real number, got 1j", id="1j"),
+            pytest.param(["a"], "sds must be a 1-d sequence of at least one real entry, "
+                         "got shape (1,) of <U1", id="a"),
+            pytest.param([None], "got shape (1,) of object", id="None"),
+            pytest.param([1j], "got shape (1,) of complex128", id="1j"),
             # A lone sd is not a grid of them.
-            pytest.param(5.0, "sds must be a sequence of reals, got 5.0", id="scalar"),
+            pytest.param(5.0, "got shape () of float64", id="scalar"),
         ],
     )
     def test_rejects_non_real_sds(self, sds, message):

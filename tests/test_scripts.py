@@ -65,6 +65,14 @@ def test_bad_input_exits_with_a_message(name, flags, expected, monkeypatch, caps
         assert err.startswith("usage:")
 
 
+def test_caps_error_prints_its_rule(monkeypatch, capsys):
+    flags = [*SMALL["growth_frontier.py"], "--caps", "0.1,x"]
+    code, _, err = run_script("growth_frontier.py", flags, monkeypatch, capsys)
+    assert (code, err.splitlines()[-1]) == (
+        2, "growth_frontier.py: error: argument --caps: could not convert string to float: 'x'"
+    )
+
+
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_output_file(name, tmp_path, monkeypatch, capsys):
     target = tmp_path / "out.csv"

@@ -95,7 +95,7 @@ class TestTradeSeries:
             series.pnl[0] = 5.0
 
     def test_columns_must_match(self):
-        with pytest.raises(DomainError, match="columns"):
+        with pytest.raises(DomainError, match="side must be a 1-d sequence of 2 entries"):
             TradeSeries(period_id=[1, 2], side=["L"], pnl=[1.0, 2.0])
 
 
@@ -212,6 +212,12 @@ class TestSummarize:
     def test_empty_filter_rejected(self):
         with pytest.raises(EmptySelection):
             summarize(series_of(("L", 1.0)), Filter.SHORT)
+
+    @pytest.mark.parametrize("which", ["all", "long", "short", None, 0, "Filter.ALL"])
+    def test_filter_must_be_a_filter(self, which):
+        # Each of these once selected the Short row of an L/S/L series.
+        with pytest.raises(DomainError, match="which must be a Filter"):
+            summarize(series_of(("L", 1.0), ("S", -2.0), ("L", 1.0)), which)
 
     def test_all_flat_rejected(self):
         with pytest.raises(EmptySelection):

@@ -194,9 +194,9 @@ class TestWealthPath:
     @pytest.mark.parametrize(
         "log_wealth, outcomes, message",
         [
-            ([[0.0, 0.1]], [True], "nonempty 1-d"),
-            ([], [], "nonempty 1-d"),
-            ([0.0, 0.1, 0.2], [True], "one entry per step"),
+            ([[0.0, 0.1]], [True], "real entry, got shape"),
+            ([], [], "real entry, got shape"),
+            ([0.0, 0.1, 0.2], [True], "2 bool entries, got shape"),
             ([0.0, math.inf], [True], "must be finite"),
             ([0.0, math.nan], [True], "must be finite"),
         ],
