@@ -113,27 +113,45 @@ def root_seed(value: object, what: str = "root_seed") -> int:
     return integer(value, what, 0, 2**64 - 1)
 
 
-# The numpy kinds of a column's entries, and their word in a message: like
-# ``real``, a float column takes no bools or strings.
-_KINDS = {float: ("iuf", "real "), bool: ("b", "bool ")}
+# How a column of each dtype is first converted (None: numpy's own choice),
+# the numpy kinds its entries may then have, and their word in a message.
+# Like ``real``, a float column takes no bools or strings.  An int column
+# holds Python ints of any size in an object array, so its entries' types
+# are checked one by one, as ``integer`` checks a number.
+_KINDS = {
+    float: (None, "iuf", "real "),
+    bool: (None, "b", "bool "),
+    int: (object, "O", "integer "),
+}
 
 
 def column(value: object, what: str, dtype: type | None = None, size: int | None = None):
     """``value`` as a new, read-only, 1-d numpy array of ``dtype`` with ``size``
-    entries, or at least one when None; a float column must be finite."""
+    entries, or at least one when None; a float column must be finite, and an
+    int column (object dtype) holds Python ints, numpy integers converted."""
     import numpy as np  # here, so that importing this module loads no numpy
 
-    kinds, word = _KINDS.get(dtype, ("", ""))
+    first, kinds, word = _KINDS.get(dtype, (dtype, "", ""))
     entries = f"at least one {word}entry" if size is None else f"{size} {word}entries"
     try:  # a float or bool column converts once its entries' kind is checked
-        array = np.array(value, dtype=None if kinds else dtype)
+        array = np.array(value, dtype=first)
         got = f"shape {array.shape} of {array.dtype}"
     except (TypeError, ValueError):
         array, got = np.array(None), "a ragged or unconvertible value"
     sized = array.size >= 1 if size is None else array.size == size
     if array.ndim != 1 or not sized or (kinds and array.dtype.kind not in kinds):
         raise DomainError(f"{what} must be a 1-d sequence of {entries}, got {got}")
-    array = array.astype(dtype or array.dtype, copy=False)
+    if dtype is int:
+        values = array.tolist()
+        types = set(map(type, values))  # one pass in C, not a call per entry
+        if types != {int}:
+            bad = {t for t in types if t is bool or not issubclass(t, (int, np.integer))}
+            if bad:
+                k = next(i for i, v in enumerate(values) if type(v) in bad)
+                got = f"{shown(values[k], repr)} at index {k}"
+                raise DomainError(f"{what} must be a 1-d sequence of {entries}, got {got}")
+            array = np.array(list(map(int, values)), dtype=object)
+    array = array.astype(first or dtype or array.dtype, copy=False)
     if dtype is float and not np.isfinite(array).all():
         k = int(np.argmin(np.isfinite(array)))
         raise DomainError(f"{what} must be finite, got {array[k]} at index {k}")

@@ -317,16 +317,20 @@ def parse_strategy(text: str) -> Strategy:
 
 
 def write_transcript_csv(transcript: GameTranscript, fh: IO[str]) -> None:
-    """Emit rounds as CSV (round, choice1, choice2, gain1, gain2)."""
+    """Emit rounds as CSV (round, choice1, choice2, gain1, gain2).
+
+    A round's row is its number and the tail of its pair of choices.  The
+    gains of the (at most four) tails are read from the transcript, where
+    the payoff rule made them, at the first round of each pair.
+    """
     t = transcript
     render.write_rows(fh, [["round", "choice1", "choice2", "gain1", "gain2"]])
+    pair = 2 * (t.choices1 == T) + (t.choices2 == T)  # HH, HT, TH, TT as 0..3
+    tails = np.empty(4, dtype=object)
+    for code, i in zip(*np.unique(pair, return_index=True)):
+        cells = (t.choices1[i], t.choices2[i], t.gains1[i], t.gains2[i])
+        tails[code] = ",".join(map(render.cell, cells)) + "\n"
+    rows = tails[pair].tolist()
     for start in range(0, t.n_rounds, _CSV_BLOCK):
         stop = min(start + _CSV_BLOCK, t.n_rounds)
-        block = slice(start, stop)
-        render.write_columns(fh, [
-            map(str, range(start + 1, stop + 1)),
-            t.choices1[block].tolist(),
-            t.choices2[block].tolist(),
-            render.floats(t.gains1[block].tolist()),
-            render.floats(t.gains2[block].tolist()),
-        ])
+        fh.write("".join(map("{},{}".format, range(start + 1, stop + 1), rows[start:stop])))

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .betmath import BetSpec
-from .errors import (BudgetError, DomainError, InfeasibleThreshold, count, fraction,
+from .errors import (BudgetError, DomainError, InfeasibleThreshold, column, count, fraction,
                      probability, root_seed, within)
 from .wealthsim import LossKind, outcome_matrix, path_losses
 
@@ -103,7 +103,9 @@ class McEstimate:
 
 @dataclass(frozen=True, eq=False)
 class GrationalGrid:
-    """Per-fraction estimates across the search grid (ascending f)."""
+    """Per-fraction estimates across the search grid (ascending f): five
+    finite float columns and the bool ``feasible``, all read-only and of
+    one length."""
 
     f: np.ndarray
     e_growth: np.ndarray
@@ -111,6 +113,14 @@ class GrationalGrid:
     p_violation: np.ndarray
     se_violation: np.ndarray
     feasible: np.ndarray
+
+    def __post_init__(self) -> None:
+        size = None  # f's, once it is checked
+        for name in ("f", "e_growth", "se_growth", "p_violation", "se_violation", "feasible"):
+            dtype = bool if name == "feasible" else float
+            array = column(getattr(self, name), name, dtype, size)
+            object.__setattr__(self, name, array)
+            size = array.size
 
 
 @dataclass(frozen=True)

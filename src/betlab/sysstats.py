@@ -28,6 +28,12 @@ Semantics worth spelling out:
   likely ("too few runs" = suspicious clustering).
 * ``ir`` (mean over sample sd) is reported as NaN when the sd is zero or
   undefined; formatting layers render that as NA / null.
+
+The normal tail of ``runspvu`` and the t-test p-value of ``ppgs_classify``
+are computed in pure Python (:mod:`betlab.tails`), so a summary loads no
+scipy: the normal tail is ``scipy.special.ndtr``'s value bit for bit, and
+the t-test falls back to scipy's ``stdtr`` only when its p-value lies so
+close to alpha that the pure value's error could change the label.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import numpy as np
 
 from . import render
 from .errors import DomainError, EmptySelection, column, within
+from .tails import ndtr, t_pvalue
 from .wealthsim import LossKind, path_losses
 
 # Exact runs-test enumeration up to this length; normal approximation
@@ -51,6 +58,14 @@ _EXACT_RUNS_MAX_N = 30
 
 # Side letters: long, short, flat.
 _SIDES = ("L", "S", "F")
+
+# ``ppgs_classify`` takes scipy's t-test p-value in place of the pure-Python
+# one when that lies within this relative distance of alpha.  The tests hold
+# the pure p-value to a tenth of it against mpmath wherever p > 1e-290 (its
+# worst error measured is near 2e-13, scipy's near 3e-13), so for any alpha
+# above that, both p-values fall on the same side of alpha and the label is
+# scipy's.
+_P_SLACK = 1e-9
 
 
 class Filter(Enum):
@@ -72,10 +87,11 @@ class TradeSeries:
     """Ordered periods as three read-only columns of one length, at least one.
 
     ``period_id`` holds Python ints of any size (object dtype), strictly
-    increasing; ``side`` holds the letters L, S and F; ``pnl`` holds
-    finite float64 values, zero on Flat periods.  Each column is copied
-    from any sequence.  A side must already be one of the letters: an
-    enum member is rejected, never converted through ``str``.
+    increasing; numpy integers become Python ints, and a bool, float or
+    string is rejected.  ``side`` holds the letters L, S and F; ``pnl``
+    holds finite float64 values, zero on Flat periods.  Each column is
+    copied from any sequence.  A side must already be one of the letters:
+    an enum member is rejected, never converted through ``str``.
     """
 
     period_id: np.ndarray
@@ -83,7 +99,7 @@ class TradeSeries:
     pnl: np.ndarray
 
     def __post_init__(self) -> None:
-        ids = column(self.period_id, "period_id", object)
+        ids = column(self.period_id, "period_id", int)
         side = column(self.side, "side", size=ids.size)
         pnl = column(self.pnl, "pnl", float, ids.size)
         if not (side.dtype.kind == "U" and np.isin(side, _SIDES).all()):
@@ -163,9 +179,7 @@ def runs_test(outcomes: Sequence[bool]) -> RunsResult:
     else:
         mu = 1.0 + 2.0 * n1 * n2 / n
         var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
-        from scipy.special import ndtr  # the kernel of scipy.stats.norm.cdf
-
-        p = float(ndtr((runs + 0.5 - mu) / math.sqrt(var)))
+        p = ndtr((runs + 0.5 - mu) / math.sqrt(var))  # scipy.stats.norm.cdf's bits
     return RunsResult(runs=runs, p_value_too_few=min(max(p, 0.0), 1.0), degenerate=False)
 
 
@@ -230,19 +244,25 @@ def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
     return avg
 
 
-def _ttest_pvalue(pnl: np.ndarray) -> float:
-    """Two-sided p-value of the one-sample t-test of mean 0.
+def _t_statistic(pnl: np.ndarray) -> tuple[float, int]:
+    """t of the one-sample t-test of mean 0, and its degrees of freedom.
 
-    Step for step the arithmetic of ``scipy.stats.ttest_1samp``, so the
-    value agrees to the last bit; ``np.var(ddof=1)`` would not.
+    Step for step the arithmetic of ``scipy.stats.ttest_1samp``, so t
+    agrees to the last bit; ``np.var(ddof=1)`` would not.
     """
-    from scipy.special import stdtr
-
     n = pnl.size
     m = pnl.mean()
     v = np.mean((pnl - m) ** 2) * (n / (n - 1))
-    t = m / math.sqrt(v / n)
-    return float(2 * stdtr(n - 1, -abs(t)))
+    return float(m / math.sqrt(v / n)), n - 1
+
+
+def _ttest_pvalue(pnl: np.ndarray) -> float:
+    """Two-sided p-value of the one-sample t-test of mean 0, bit for bit
+    ``scipy.stats.ttest_1samp``'s."""
+    from scipy.special import stdtr
+
+    t, df = _t_statistic(pnl)
+    return float(2 * stdtr(df, -abs(t)))
 
 
 def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
@@ -251,7 +271,8 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     Positive/Negative require at least 30 positioned periods and a
     two-sided p-value below ``alpha``; anything else is Indeterminate.
     Zero-variance series skip the test and classify by the sign of the
-    (constant) mean.
+    (constant) mean.  The p-value is ``tails.t_pvalue``'s, or scipy's
+    within ``_P_SLACK`` of ``alpha``, so the label is what scipy's gives.
     """
     within(alpha, "alpha", 0, 1, "()")
     pnl = series.pnl[series.side != "F"]
@@ -264,7 +285,9 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
         if mean < 0:
             return Ppgs.NEGATIVE
         return Ppgs.INDETERMINATE
-    p_value = _ttest_pvalue(pnl)
+    p_value = t_pvalue(*_t_statistic(pnl))
+    if p_value is None or abs(p_value - alpha) <= _P_SLACK * alpha:
+        p_value = _ttest_pvalue(pnl)
     if p_value < alpha and mean > 0:
         return Ppgs.POSITIVE
     if p_value < alpha and mean < 0:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
 from typing import IO, Sequence
 
 import numpy as np
@@ -214,16 +213,21 @@ def write_paths_csv(paths: Sequence[WealthPath], fh: IO[str]) -> None:
     """Emit paths as CSV rows (path_id, step, log_wealth, outcome).
 
     Step 0 has no outcome; its cell is left empty.  Outcomes are 1/0.
-    Each path's rows are joined and written at once, so memory holds the
-    text of one path, not of the table.
+    Each path's rows are one ``%`` template, its steps and outcomes written
+    in and its log wealths filled by ``render.FLOAT``, written at once, so
+    memory holds the text of one path, not of the table.
     """
     render.write_rows(fh, [["path_id", "step", "log_wealth", "outcome"]])
-    steps = list(map(str, range(max((p.log_wealth.size for p in paths), default=0))))
+    # Per path length: step 0's line, and each later step's line after a loss
+    # and after a win, all without the path id, which the join puts before each.
+    lines = {}
     for k, path in enumerate(paths):
         size = path.log_wealth.size
-        render.write_columns(fh, [
-            repeat(str(k), size),
-            steps[:size],
-            render.floats(path.log_wealth.tolist()),
-            chain(("",), map(_OUTCOME_CELLS.__getitem__, path.outcomes.tolist())),
-        ])
+        if size not in lines:
+            lines[size] = f",0,{render.FLOAT},\n", [
+                np.array([f",{s},{render.FLOAT},{o}\n" for s in range(1, size)], dtype=object)
+                for o in _OUTCOME_CELLS
+            ]
+        first, (loss, win) = lines[size]
+        template = str(k).join(["", first, *np.where(path.outcomes, win, loss).tolist()])
+        fh.write(template % tuple(path.log_wealth.tolist()))

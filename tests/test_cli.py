@@ -411,8 +411,14 @@ class TestSimulate:
 
 
 class TestImportGraph:
-    def test_scipy_loads_only_for_stats_and_miller(self, trades_csv):
-        # A fresh interpreter, since this one has long imported scipy.
+    def test_scipy_loads_only_for_stats_and_miller(self, trades_csv, tmp_path):
+        # A fresh interpreter, since this one has long imported scipy.  The
+        # long record's 60 positioned periods take both the normal branch of
+        # the runs test and the t-test, and neither loads scipy.
+        long_csv = tmp_path / "long.csv"
+        long_csv.write_text("period_id,side,pnl\n" + "".join(
+            f"{k},{'LS'[k % 2]},{(-1) ** (k // 3) * (1 + k % 5) / 4 + 0.1}\n" for k in range(1, 61)
+        ))
         code = textwrap.dedent(
             f"""
             import contextlib, io, sys
@@ -434,6 +440,8 @@ class TestImportGraph:
             run("popp", "--state", "++,+,+,-,-,-,+,?,+")
             print(scipy_modules())
             run("stats", "--input", {trades_csv!r}, "--ppgs-alpha", "0.05")
+            run("stats", "--input", {str(long_csv)!r}, "--ppgs-alpha", "0.05")
+            print(scipy_modules())
             run("miller", "--sds", "0,5", "--shares", "50", "--buyers", "1000")
             print("scipy.special" in scipy_modules(), "scipy.stats" in sys.modules)
             """
@@ -443,7 +451,7 @@ class TestImportGraph:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "True False"]
+        assert proc.stdout.splitlines() == ["[]", "[]", "True False"]
 
     def test_numpy_random_loads_only_for_streams(self):
         code = textwrap.dedent(

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import math
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betlab import games
+from betlab import games, render
 from betlab.errors import DomainError
 from betlab.games import (
     Alternator,
@@ -447,3 +448,28 @@ class TestParseAndExport:
             for i in range(n_rounds)
         ]
         assert buf.getvalue() == "\n".join(["round,choice1,choice2,gain1,gain2", *rows, ""])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=st.integers(1, 50).flatmap(
+            lambda n: st.tuples(*[st.lists(st.sampled_from("HT"), min_size=n, max_size=n)] * 2)
+        ),
+        stake=st.floats(1e-300, 1e300),
+        rake=st.just(0.0) | st.floats(0.0, 1e300),
+    )
+    def test_transcript_csv_is_csv_writer_of_cells(self, columns, stake, rake):
+        try:
+            t = GameTranscript(*columns, stake=stake, rake=rake)
+        except DomainError:  # stake and rake that overflow over the rounds
+            return
+        rows = [["round", "choice1", "choice2", "gain1", "gain2"]]
+        rows += [
+            [i + 1, t.choices1[i], t.choices2[i], float(t.gains1[i]), float(t.gains2[i])]
+            for i in range(t.n_rounds)
+        ]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(map(render.cell, r) for r in rows)
+        got = io.StringIO()
+        write_transcript_csv(t, got)
+        # As lists of lines, so that a failure is explained without a text diff.
+        assert got.getvalue().splitlines(True) == expected.getvalue().splitlines(True)

@@ -491,8 +491,18 @@ ARRAY_HOLDERS = {
     "GrationalGrid": (GrationalGrid, *GRID_COLUMNS),
     "GrationalSolution": (lambda *c: best_feasible(GrationalGrid(*c), 0.5), *GRID_COLUMNS),
 }
-# Only the solver builds a grid, from arrays of its own, and holds them as they are.
-SOLVER_RECORDS = {"GrationalGrid", "GrationalSolution"}
+
+
+def held_arrays(record) -> dict[str, np.ndarray]:
+    """The arrays a record holds, by field name, with those of the records it holds."""
+    held = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, np.ndarray):
+            held[field.name] = value
+        elif dataclasses.is_dataclass(value):
+            held.update({f"{field.name}.{k}": v for k, v in held_arrays(value).items()})
+    return held
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
@@ -502,18 +512,14 @@ def test_array_holders_compare_by_identity(name):
     assert a == a and a != b and not a == b
 
 
-@pytest.mark.parametrize("name", sorted(set(ARRAY_HOLDERS) - SOLVER_RECORDS))
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
 def test_array_holders_keep_read_only_copies(name):
     # Changing the caller's arrays leaves the record as it was built, and
     # every array the record holds refuses a write.
     build, *values = ARRAY_HOLDERS[name]
     arrays = [np.array(value) for value in values]
     record = build(*arrays)
-    held = {
-        field.name: getattr(record, field.name)
-        for field in dataclasses.fields(record)
-        if isinstance(getattr(record, field.name), np.ndarray)
-    }
+    held = held_arrays(record)
     before = {field: array.copy() for field, array in held.items()}
     for array in arrays:
         array[0] = array[1]
@@ -533,7 +539,7 @@ COLUMN_SITES = {
     "WealthPath.outcomes": (lambda v: WealthPath([0.0, 0.1], v), bool, [True, False]),
     "GameTranscript.choices1": (lambda v: GameTranscript(v, ["H"], 1.0), None, ["H", "T"]),
     "GameTranscript.choices2": (lambda v: GameTranscript(["H"], v, 1.0), None, ["H", "T"]),
-    "TradeSeries.period_id": (lambda v: TradeSeries(v, ["L"], [1.0]), object, [1, 2]),
+    "TradeSeries.period_id": (lambda v: TradeSeries(v, ["L"], [1.0]), int, [1, 2]),
     "TradeSeries.side": (lambda v: TradeSeries([1], v, [1.0]), None, ["L", "S"]),
     "TradeSeries.pnl": (lambda v: TradeSeries([1], ["L"], v), float, [1.0, 2.0]),
     "EmpiricalOpinions.samples": (EmpiricalOpinions, float, None),
@@ -541,6 +547,11 @@ COLUMN_SITES = {
     "GrowthCurve.rates": (lambda v: GrowthCurve([0.1], v), float, [0.0, 0.0]),
     "growth_curve.fractions": (lambda v: growth_curve(BET, v), float, None),
     "runs_test.outcomes": (runs_test, bool, None),
+    "GrationalGrid.f": (lambda v: GrationalGrid(v, *GRID_COLUMNS[1:]), float, [0.0]),
+    "GrationalGrid.se_violation": (
+        lambda v: GrationalGrid(*GRID_COLUMNS[:4], v, GRID_COLUMNS[5]), float, [0.0, 0.0, 0.0]
+    ),
+    "GrationalGrid.feasible": (lambda v: GrationalGrid(*GRID_COLUMNS[:5], v), bool, [True]),
 }
 # Not a 1-d sequence of at least one entry: 0-d, 2-d, empty and ragged values.
 NOT_COLUMN = st.sampled_from([
@@ -558,9 +569,15 @@ BAD_REAL_ENTRIES = st.sampled_from([
 ])
 # Entries a bool column refuses: numbers, strings and None.
 BAD_BOOL_ENTRIES = st.sampled_from([[0, 1], [1], [0.5], [math.nan], ["T"], [None], np.arange(2)])
-BAD_ENTRIES = {float: BAD_REAL_ENTRIES, bool: BAD_BOOL_ENTRIES}
+# Entries an int column refuses: like ``integer``, no bools, floats (even
+# integral or NaN), strings or None.
+BAD_INT_ENTRIES = st.sampled_from([
+    ["a"], ["1"], [b"1"], [1.5], [2.0], [math.nan], [np.float64(3)], [True], [np.True_],
+    [None], [1j], np.array([1.0]), np.array([True]), np.array(["1"]), [[1]],
+])
+BAD_ENTRIES = {float: BAD_REAL_ENTRIES, bool: BAD_BOOL_ENTRIES, int: BAD_INT_ENTRIES}
 COLUMN_MESSAGE = re.compile(
-    r"\w+ must be a 1-d sequence of (at least one|\d+) (real |bool )?entr(y|ies), got .+"
+    r"\w+ must be a 1-d sequence of (at least one|\d+) (real |bool |integer )?entr(y|ies), got .+"
     r"|\w+ must be finite, got \S+ at index \d+"
 )
 
@@ -637,6 +654,21 @@ class TestRules:
             ),
             ("column", ([1.0, math.nan], "x", float), "x must be finite, got nan at index 1"),
             ("column", ([-math.inf], "x", float, 1), "x must be finite, got -inf at index 0"),
+            (
+                "column",
+                ([1, 2.0], "id", int),
+                "id must be a 1-d sequence of at least one integer entry, got 2.0 at index 1",
+            ),
+            (
+                "column",
+                ([3, np.int8(4), True], "id", int, 3),
+                "id must be a 1-d sequence of 3 integer entries, got True at index 2",
+            ),
+            (
+                "column",
+                (np.array([1.0]), "id", int),
+                "id must be a 1-d sequence of at least one integer entry, got 1.0 at index 0",
+            ),
         ],
     )
     def test_message(self, rule, args, message):
@@ -657,6 +689,17 @@ class TestRules:
         assert not np.shares_memory(got, given) and not got.flags.writeable
         assert errors.column(np.arange(3), "x", float).dtype == float
         assert errors.column([2**70], "id", object)[0] == 2**70
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[1, 2**70], np.arange(2), np.array([5, 2**64 - 1], dtype=np.uint64),
+         [np.int8(-1), np.int64(2)], [1, np.uint32(7)]],
+    )
+    def test_int_column_holds_python_ints(self, ids):
+        got = errors.column(ids, "id", int)
+        assert got.dtype == object and not got.flags.writeable
+        assert [type(v) for v in got] == [int, int]
+        assert got.tolist() == [int(v) for v in ids]
 
 
 def test_seed_env_message(monkeypatch):

@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betlab import render, sysstats
@@ -25,6 +25,7 @@ from betlab.sysstats import (
     runs_test,
     summarize,
 )
+from betlab.tails import t_pvalue
 
 
 def series_of(*entries) -> TradeSeries:
@@ -341,6 +342,65 @@ class TestScipyOracle:
             expected = float(ttest_1samp(pnl, 0.0).pvalue)
         assert _ttest_pvalue(pnl) == expected
 
+    @given(
+        st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=30, max_size=200),
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.floats(min_value=1e-9, max_value=0.999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ppgs_label_is_ttest_1samps(self, values, shift, alpha):
+        # At scipy's own p and at both of its neighbouring doubles, scipy's
+        # p-value decides the label; at the drawn alpha, mostly the pure one.
+        from scipy.stats import ttest_1samp
+
+        pnl = np.asarray(values) + shift
+        assume(float(pnl.std(ddof=1)) != 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy's precision-loss note
+            p = float(ttest_1samp(pnl, 0.0).pvalue)
+        series = series_of(*[("L", v) for v in pnl])
+        mean = float(pnl.mean())
+        for a in (alpha, p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)):
+            if not 0.0 < a < 1.0:
+                continue
+            expected = Ppgs.INDETERMINATE
+            if p < a and mean != 0.0:
+                expected = Ppgs.POSITIVE if mean > 0 else Ppgs.NEGATIVE
+            assert ppgs_classify(series, a) is expected, a
+
+
+class TestPpgsFallback:
+    """scipy's p-value is taken only within ``_P_SLACK`` of alpha."""
+
+    SERIES = series_of(*[("L", v) for v in np.random.default_rng(3).normal(0.3, 1.0, 40)])
+
+    @pytest.fixture
+    def scipy_calls(self, monkeypatch):
+        calls = []
+        scipy_pvalue = sysstats._ttest_pvalue
+        monkeypatch.setattr(
+            sysstats, "_ttest_pvalue", lambda pnl: calls.append(pnl) or scipy_pvalue(pnl)
+        )
+        return calls
+
+    def test_only_within_slack_of_alpha(self, scipy_calls):
+        p = t_pvalue(*sysstats._t_statistic(self.SERIES.pnl))
+        slack = sysstats._P_SLACK
+        factors = [2.0, 1 + 1.5 * slack, 1 + 0.5 * slack, 1.0]
+        factors += [1 - 0.5 * slack, 1 - 1.5 * slack, 0.5]
+        called = []
+        for factor in factors:
+            scipy_calls.clear()
+            label = ppgs_classify(self.SERIES, p * factor)
+            called.append(len(scipy_calls))
+            assert label is (Ppgs.POSITIVE if factor > 1 else Ppgs.INDETERMINATE)
+        assert called == [0, 0, 1, 1, 1, 0, 0]
+
+    def test_when_the_fraction_does_not_converge(self, scipy_calls, monkeypatch):
+        monkeypatch.setattr(sysstats, "t_pvalue", lambda t, df: None)
+        assert ppgs_classify(self.SERIES, 0.5) is Ppgs.POSITIVE
+        assert len(scipy_calls) == 1
+
 
 class TestCsvAndFormatting:
     def test_roundtrip(self):
@@ -491,27 +551,12 @@ class TestReaderOracle:
         assert series.pnl.tobytes() == np.array(pnls, dtype=float).tobytes()
 
 
-NUMBER_CELLS = st.one_of(
-    st.integers().map(str),
-    st.floats().map(render.cell),
-    st.sampled_from(["H", "T", "0", "1"]),
-)
-
-
-@st.composite
-def unquoted_tables(draw) -> list[list[str]]:
-    """Rows of number and letter cells; an empty cell only beside others."""
-    width = draw(st.integers(1, 5))
-    cells = NUMBER_CELLS if width == 1 else NUMBER_CELLS | st.just("")
-    return draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=20)), width
-
-
-@given(unquoted_tables())
-@settings(max_examples=300)
-def test_write_columns_is_csv_writer(table):
-    rows, width = table
-    expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows(rows)
-    got = io.StringIO()
-    render.write_columns(got, [[row[c] for row in rows] for c in range(width)])
-    assert got.getvalue() == expected.getvalue()
+@given(st.floats())
+@example(-0.0)
+@example(5e-324)
+@example(math.nan)
+@example(-math.inf)
+def test_float_cell_is_the_template_spec(x):
+    # The long tables' templates format floats by render.FLOAT; a cell is
+    # the same text, and both equal the str.format spec the tables used.
+    assert render.FLOAT % x == render.cell(x) == "{:.12g}".format(x)

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betlab import render
 from betlab.betmath import BetSpec, asymptotic_growth
 from betlab.errors import DomainError
 from betlab.seeding import DEFAULT_SEED
@@ -290,3 +292,33 @@ class TestCsvExport:
         assert lines[1] == "0,0,0,"  # step 0 has no outcome
         assert lines[2].startswith("0,1,") and lines[2].endswith(",1")
         assert len(lines) == 1 + 2 * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(1, 40).flatmap(
+                lambda n: st.tuples(
+                    st.lists(
+                        st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n
+                    ),
+                    st.lists(st.booleans(), min_size=n - 1, max_size=n - 1),
+                )
+            ),
+            max_size=6,
+        )
+    )
+    def test_is_csv_writer_of_cells(self, columns):
+        # Ragged paths of any finite log wealths: the template's bytes are
+        # csv.writer's over render.cell rows.
+        paths = [WealthPath(lw, np.array(outcomes, dtype=bool)) for lw, outcomes in columns]
+        rows = [["path_id", "step", "log_wealth", "outcome"]]
+        for k, (lw, outcomes) in enumerate(columns):
+            rows += [
+                [k, s, lw[s], "" if s == 0 else int(outcomes[s - 1])] for s in range(len(lw))
+            ]
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(map(render.cell, r) for r in rows)
+        got = io.StringIO()
+        write_paths_csv(paths, got)
+        # As lists of lines, so that a failure is explained without a text diff.
+        assert got.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
