@@ -155,7 +155,7 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     with open(args.input, newline="") as fh:
         series = sysstats.read_trades_csv(fh)
     which = sysstats.Filter(args.filter)
-    label = {"long": "Long", "short": "Short", "all": "All"}[which.value]
+    label = which.value.title()
     row = sysstats.summarize(series, which)
     values = sysstats.display_fields(row)
     extras: dict = {}
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", parents=[common], help="summary row from a trades CSV")
     p.add_argument("--input", required=True, help="CSV with header period_id,side,pnl")
-    p.add_argument("--filter", choices=["long", "short", "all"], default="all")
+    p.add_argument("--filter", choices=[f.value for f in sysstats.Filter], default="all")
     p.add_argument("--years", type=float, default=None, help="report average P&L per year")
     p.add_argument(
         "--ppgs-alpha", type=float, default=None,

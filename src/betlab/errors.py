@@ -139,7 +139,8 @@ def column(value: object, what: str, dtype: type | None = None, size: int | None
     except (TypeError, ValueError):
         array, got = np.array(None), "a ragged or unconvertible value"
     sized = array.size >= 1 if size is None else array.size == size
-    if array.ndim != 1 or not sized or (kinds and array.dtype.kind not in kinds):
+    # numpy types an empty list as float64, so only entries have a kind to check.
+    if array.ndim != 1 or not sized or (array.size and kinds and array.dtype.kind not in kinds):
         raise DomainError(f"{what} must be a 1-d sequence of {entries}, got {got}")
     if dtype is int:
         values = array.tolist()

@@ -288,32 +288,43 @@ def frequency_exploiter(
     return seat.choose()
 
 
+# Each strategy's CLI spec; [...] marks an optional value.
+_SPECS = {
+    "coinflip": "coinflip",
+    "biased": "biased:<p>",
+    "fixed": "fixed:<H|T>",
+    "alternator": "alternator[:<H|T>]",
+    "exploiter": "exploiter[:k=<1..8>]",
+    "bestresponse": "bestresponse:<p>",
+}
+
+
 def parse_strategy(text: str) -> Strategy:
-    """Build a strategy from a CLI spec like 'biased:0.6' or 'exploiter:k=2'."""
-    name, _, arg = text.strip().partition(":")
-    name = name.lower()
+    """Build a strategy from a CLI spec like 'biased:0.6' or 'exploiter:k=2'.
+    A value after ':' is never empty, and coinflip takes none."""
+    name, colon, arg = text.strip().partition(":")
+    name, arg = name.lower(), arg.strip()
+    if name not in _SPECS:
+        *first, last = _SPECS.values()
+        raise DomainError(f"unknown strategy {name!r}; expected {', '.join(first)}, or {last}")
+    if name == "exploiter":
+        arg = arg.removeprefix("k=").strip()
+    if colon and (not arg or name == "coinflip"):
+        raise DomainError(f"bad strategy spec {text!r}: expected {_SPECS[name]}")
     try:
         if name == "coinflip":
             return CoinFlip()
         if name == "biased":
             return Biased(p_h=float(arg))
         if name == "fixed":
-            return Fixed(choice=arg.strip().upper())
+            return Fixed(choice=arg.upper())
         if name == "alternator":
-            return Alternator(start=arg.strip().upper() or H)
+            return Alternator(start=arg.upper() or H)
         if name == "exploiter":
-            arg = arg.strip()
-            if arg.startswith("k="):
-                arg = arg[2:]
             return FrequencyExploiter(k=int(arg)) if arg else FrequencyExploiter()
-        if name == "bestresponse":
-            return BestResponder(announced_p_h=float(arg))
+        return BestResponder(announced_p_h=float(arg))
     except ValueError as exc:
         raise DomainError(f"bad strategy spec {text!r}: {exc}") from exc
-    raise DomainError(
-        f"unknown strategy {name!r}; expected coinflip, biased:<p>, fixed:<H|T>, "
-        "alternator[:<H|T>], exploiter[:k=<1..8>], or bestresponse:<p>"
-    )
 
 
 def write_transcript_csv(transcript: GameTranscript, fh: IO[str]) -> None:

@@ -40,7 +40,7 @@ Feasibility is judged on the point estimate (estimate <= max_prob); the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class GrationalGrid:
 
     def __post_init__(self) -> None:
         size = None  # f's, once it is checked
-        for name in ("f", "e_growth", "se_growth", "p_violation", "se_violation", "feasible"):
+        for name in (field.name for field in fields(self)):
             dtype = bool if name == "feasible" else float
             array = column(getattr(self, name), name, dtype, size)
             object.__setattr__(self, name, array)

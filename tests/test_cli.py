@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,29 @@ import pytest
 
 from betlab.cli import SEED_ENV_VAR, run
 from betlab.seeding import DEFAULT_SEED
+
+# The package root's 33 names, by the submodule each comes from.
+ROOT_EXPORTS = {
+    "betmath": [
+        "BetSpec", "GrowthCurve", "asymptotic_growth", "critical_fraction", "fractional_kelly",
+        "growth_curve", "growth_derivative", "kelly_fraction", "mixed_sequence_fractions",
+        "stochastic_p_fraction",
+    ],
+    "errors": [
+        "BudgetError", "DomainError", "EmptySelection", "InfeasibleThreshold", "NoClear",
+        "NoPositiveRoot",
+    ],
+    "grational": [
+        "GrationalProblem", "GrationalSolution", "LossKind", "McBudget", "solve",
+        "violation_probability",
+    ],
+    "seeding": ["DEFAULT_SEED", "stream"],
+    "wealthsim": [
+        "PathStats", "SimConfig", "WealthPath", "adaptive_policy_growth", "drawdown",
+        "path_stats", "ruin_probability_all_in", "simulate_paths", "worst_loss",
+    ],
+}
+ROOT_NAMES = [name for names in ROOT_EXPORTS.values() for name in names]
 
 TRADES = """period_id,side,pnl
 1,L,3
@@ -82,6 +106,12 @@ class TestExitCodes:
             (["popp", "--state", "a,b"],
              "argument --state: expected 9 comma-separated levels "
              "(ret,vol,sr,spd,pop,lev,sdiv,slink,srob), got 2"),
+            (["pennies", "--p1", "coinflip:0.9", "--p2", "coinflip", "--rounds", "3"],
+             "argument --p1: bad strategy spec 'coinflip:0.9': expected coinflip"),
+            (["pennies", "--p1", "coinflip", "--p2", "exploiter:k=", "--rounds", "3"],
+             "argument --p2: bad strategy spec 'exploiter:k=': expected exploiter[:k=<1..8>]"),
+            (["pennies", "--p1", "alternator:", "--rounds", "3", "--spy"],
+             "argument --p1: bad strategy spec 'alternator:': expected alternator[:<H|T>]"),
         ],
     )
     def test_bad_flag_value_prints_its_rule(self, argv, message, capsys):
@@ -478,3 +508,49 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["False", "False", "True"]
+
+    def test_pure_python_modules_load_no_numpy(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            import betlab.errors, betlab.render, betlab.tails
+            print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "betlab")))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['betlab', 'betlab.errors', 'betlab.render', 'betlab.tails']\n"
+
+    def test_root_names_load_on_first_use(self):
+        # A fresh interpreter: the root lists its names before loading any.
+        code = textwrap.dedent(
+            """
+            import sys
+            import betlab
+            print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "betlab")))
+            print(sorted(set(betlab.__all__) & set(dir(betlab))))
+            star = {}
+            exec("from betlab import *", star)
+            print(sorted(star.keys() - {"__builtins__"}))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, listed, bound = proc.stdout.splitlines()
+        assert loaded == "['betlab']"
+        assert listed == bound == str(sorted(ROOT_NAMES))
+
+    def test_root_names_are_the_submodules_own(self):
+        import betlab
+
+        assert betlab.__all__ == ROOT_NAMES
+        for module, names in ROOT_EXPORTS.items():
+            owner = importlib.import_module(f"betlab.{module}")
+            for name in names:
+                assert getattr(betlab, name) is getattr(owner, name), name
+        with pytest.raises(AttributeError, match="module 'betlab' has no attribute 'nope'"):
+            getattr(betlab, "nope")

@@ -429,6 +429,43 @@ class TestParseAndExport:
         with pytest.raises(DomainError):
             parse_strategy(text)
 
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            # coinflip once dropped its value, and an empty value once read
+            # as the default (k=2, start H).
+            ("coinflip:0.9", "coinflip"),
+            ("coinflip:", "coinflip"),
+            ("exploiter:k=", "exploiter[:k=<1..8>]"),
+            ("exploiter:k= ", "exploiter[:k=<1..8>]"),
+            ("exploiter:", "exploiter[:k=<1..8>]"),
+            ("alternator:", "alternator[:<H|T>]"),
+            ("alternator: ", "alternator[:<H|T>]"),
+            ("biased:", "biased:<p>"),
+            ("fixed:", "fixed:<H|T>"),
+            ("bestresponse:", "bestresponse:<p>"),
+        ],
+    )
+    def test_parse_refuses_a_dropped_or_empty_value(self, text, rule):
+        with pytest.raises(DomainError) as info:
+            parse_strategy(text)
+        assert str(info.value) == f"bad strategy spec {text!r}: expected {rule}"
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [("exploiter", 2), ("exploiter:3", 3), ("exploiter: k=4", 4), ("EXPLOITER:k=5 ", 5)],
+    )
+    def test_parse_exploiter_k(self, text, k):
+        assert parse_strategy(text).k == k
+
+    def test_parse_unknown_lists_every_spec(self):
+        with pytest.raises(DomainError) as info:
+            parse_strategy("nope:")
+        assert str(info.value) == (
+            "unknown strategy 'nope'; expected coinflip, biased:<p>, fixed:<H|T>, "
+            "alternator[:<H|T>], exploiter[:k=<1..8>], or bestresponse:<p>"
+        )
+
     def test_transcript_csv(self):
         t = play_match(Fixed("H"), Fixed("T"), 2, root_seed=1, stake=2.0)
         buf = io.StringIO()

@@ -690,6 +690,17 @@ class TestRules:
         assert errors.column(np.arange(3), "x", float).dtype == float
         assert errors.column([2**70], "id", object)[0] == 2**70
 
+    @pytest.mark.parametrize("dtype, kind", [(float, "f"), (bool, "b"), (int, "O")])
+    @pytest.mark.parametrize("empty", [[], (), np.array([]), np.zeros(0, dtype=bool)])
+    def test_zero_entries_asked_for(self, empty, dtype, kind):
+        # numpy types [] as float64: with no entries there is no kind to refuse.
+        got = errors.column(empty, "x", dtype, 0)
+        assert got.shape == (0,) and got.dtype.kind == kind and not got.flags.writeable
+
+    def test_path_without_steps(self):
+        path = WealthPath([0.0], [])
+        assert path.outcomes.shape == (0,) and path.outcomes.dtype == bool
+
     @pytest.mark.parametrize(
         "ids",
         [[1, 2**70], np.arange(2), np.array([5, 2**64 - 1], dtype=np.uint64),
