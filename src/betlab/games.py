@@ -299,30 +299,42 @@ _SPECS = {
 }
 
 
+# The strategies whose value is a number, and its type.
+_NUMBERS = {"biased": float, "exploiter": int, "bestresponse": float}
+
+
 def parse_strategy(text: str) -> Strategy:
     """Build a strategy from a CLI spec like 'biased:0.6' or 'exploiter:k=2'.
-    A value after ':' is never empty, and coinflip takes none."""
+    A value after ':' is never empty, and coinflip takes none.  A value that
+    is not a number where one is expected prints the spec's rule."""
     name, colon, arg = text.strip().partition(":")
     name, arg = name.lower(), arg.strip()
     if name not in _SPECS:
         *first, last = _SPECS.values()
         raise DomainError(f"unknown strategy {name!r}; expected {', '.join(first)}, or {last}")
-    if name == "exploiter":
-        arg = arg.removeprefix("k=").strip()
+    if name == "exploiter" and arg[:2].lower() == "k=":
+        arg = arg[2:].strip()
+    expected = f"bad strategy spec {text!r}: expected {_SPECS[name]}"
     if colon and (not arg or name == "coinflip"):
-        raise DomainError(f"bad strategy spec {text!r}: expected {_SPECS[name]}")
+        raise DomainError(expected)
+    if name == "exploiter" and not arg:
+        return FrequencyExploiter()
+    try:
+        value = _NUMBERS[name](arg) if name in _NUMBERS else arg.upper()
+    except ValueError:
+        raise DomainError(expected) from None
     try:
         if name == "coinflip":
             return CoinFlip()
         if name == "biased":
-            return Biased(p_h=float(arg))
+            return Biased(p_h=value)
         if name == "fixed":
-            return Fixed(choice=arg.upper())
+            return Fixed(choice=value)
         if name == "alternator":
-            return Alternator(start=arg.upper() or H)
+            return Alternator(start=value or H)
         if name == "exploiter":
-            return FrequencyExploiter(k=int(arg)) if arg else FrequencyExploiter()
-        return BestResponder(announced_p_h=float(arg))
+            return FrequencyExploiter(k=value)
+        return BestResponder(announced_p_h=value)
     except ValueError as exc:
         raise DomainError(f"bad strategy spec {text!r}: {exc}") from exc
 

@@ -31,6 +31,14 @@ the log-wealth matrix instead of G, and ``p_violation`` over the grid is
 the empirical CDF of those first indices.  Growth needs only the final
 win counts.  The result is bit-identical to scoring every fraction.
 
+The outcome matrix is never held whole.  Path k depends only on
+``(root_seed, k)``, so the solver draws it in blocks of
+``_BLOCK_CELLS // (n_steps + 1)`` rows (at least one) just before the
+kernel reads each block, with the same bits.  Memory is one block's
+working set (about 1.2 MB of scratch) plus the first violating index and
+final win count of every path: it grows with ``n_paths``, not with
+``n_paths * n_steps``.
+
 Feasibility is judged on the point estimate (estimate <= max_prob); the
 ±2 s.e. band is reported alongside for the caller to interpret.  Finite
 ``n_steps`` stands in for the asymptotic variant: pass a large horizon
@@ -40,6 +48,7 @@ Feasibility is judged on the point estimate (estimate <= max_prob); the
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -47,14 +56,15 @@ import numpy as np
 from .betmath import BetSpec
 from .errors import (BudgetError, DomainError, InfeasibleThreshold, column, count, fraction,
                      probability, root_seed, within)
-from .wealthsim import LossKind, outcome_matrix, path_losses
+from .wealthsim import LossKind, outcome_matrix, outcome_size, path_losses
 
 _MIN_PATHS = 1000
 _F_CAP = 0.999
 # At most a million grid points: a finer step asks for a grid too large to
 # allocate, or (near 5e-324) one whose size overflows.
 _MIN_GRID_STEP = 1e-6
-# Log-wealth cells per block of paths in the violation search (512 KB).
+# Log-wealth cells per block of paths (512 KB of float64): the outcome rows
+# drawn at a time and the working set of the violation search.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -132,27 +142,43 @@ class GrationalSolution:
     grid: GrationalGrid
 
 
-def _first_hits(
-    problem: GrationalProblem, wins: np.ndarray, ab: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Per path, the first grid index whose loss reaches the threshold.
+def _win_blocks(bet: BetSpec, n_steps: int, budget: McBudget) -> Iterator[np.ndarray]:
+    """The budget's outcome matrix in blocks of rows, each drawn as it is read.
 
-    A path that never reaches it gets ``b.size``.  Log wealth at (path, s)
-    is ``counts * ab + s * b`` with ``counts`` the prefix win count.  Each
-    path's loss is nondecreasing in f, so its hits on the grid are a
-    suffix: bisect for the first one, in (lo, hi], on all paths of a block
-    at once.  Blocks of rows keep the working set in cache.
+    A block has at most ``_BLOCK_CELLS`` log-wealth cells (and at least one
+    path), so the whole matrix never exists.  Its shape is checked here,
+    before any drawing.
     """
-    n_paths, n_steps = wins.shape
-    steps = np.arange(n_steps + 1, dtype=float)
+    n_steps, n_paths = outcome_size(n_steps, budget.n_paths)
     rows = max(1, _BLOCK_CELLS // (n_steps + 1))
-    counts = np.zeros((min(rows, n_paths), n_steps + 1), dtype=np.int32)
-    lw = np.empty(counts.shape)
-    scratch = np.empty(counts.shape)
-    first = np.empty(n_paths, dtype=np.intp)
-    for start in range(0, n_paths, rows):
-        block = wins[start : start + rows]
-        m = block.shape[0]
+    return (
+        outcome_matrix(bet, n_steps, min(rows, n_paths - first), budget.root_seed, first)
+        for first in range(0, n_paths, rows)
+    )
+
+
+def _first_hits(
+    problem: GrationalProblem, blocks: Iterable[np.ndarray], ab: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per path, the first grid index whose loss reaches the threshold, and
+    the final win count.
+
+    A path that never reaches the threshold gets ``b.size``.  Log wealth at
+    (path, s) is ``counts * ab + s * b`` with ``counts`` the prefix win
+    count.  Each path's loss is nondecreasing in f, so its hits on the grid
+    are a suffix: bisect for the first one, in (lo, hi], on all paths of a
+    block at once.  The blocks are the outcome matrix's rows in order; a
+    block's working set stays in cache, and the scratch arrays are sized by
+    the largest block.
+    """
+    first, last = [], []
+    counts = np.empty((0, 0), dtype=np.int32)
+    for block in blocks:
+        m, n_steps = block.shape
+        if counts.shape[0] < m:
+            counts = np.zeros((m, n_steps + 1), dtype=np.int32)
+            lw, scratch = np.empty(counts.shape), np.empty(counts.shape)
+            steps = np.arange(n_steps + 1, dtype=float)
         c, w, s = counts[:m], lw[:m], scratch[:m]
         np.cumsum(block, axis=1, out=c[:, 1:])
         lo = np.full(m, -1)
@@ -164,23 +190,24 @@ def _first_hits(
             hits = path_losses(w, problem.loss_kind, s) >= problem.loss_threshold
             hi = np.where(open_ & hits, mid, hi)
             lo = np.where(open_ & ~hits, mid, lo)
-        first[start : start + m] = hi
-    return first
+        first.append(hi)
+        last.append(c[:, -1].copy())
+    return np.concatenate(first), np.concatenate(last)
 
 
 def _grid_stats(
-    problem: GrationalProblem, wins: np.ndarray, fractions: np.ndarray
+    problem: GrationalProblem, blocks: Iterable[np.ndarray], fractions: np.ndarray
 ) -> GrationalGrid:
-    n_paths, n_steps = wins.shape
+    n_steps = problem.n_steps
     d = problem.bet.d
     b = np.array([math.log1p(-f) for f in fractions])
     ab = np.array([math.log1p(d * f) for f in fractions]) - b
-    first = _first_hits(problem, wins, ab, b)
+    first, last = _first_hits(problem, blocks, ab, b)
+    n_paths = first.size
     p_violation = np.cumsum(np.bincount(first, minlength=fractions.size + 1))[:-1] / n_paths
     se_violation = np.sqrt(p_violation * (1.0 - p_violation) / n_paths)
 
     # Final log wealth needs only the last prefix count.
-    last = wins.sum(axis=1)
     e_growth = np.empty(fractions.size)
     se_growth = np.empty(fractions.size)
     for i in range(fractions.size):
@@ -220,8 +247,8 @@ def solve(
         )
     cap = min(f_max, _F_CAP)
     fractions = np.arange(math.floor(cap / grid_step) + 1) * grid_step
-    wins = outcome_matrix(problem.bet, problem.n_steps, budget.n_paths, budget.root_seed)
-    return best_feasible(_grid_stats(problem, wins, fractions), problem.max_prob)
+    blocks = _win_blocks(problem.bet, problem.n_steps, budget)
+    return best_feasible(_grid_stats(problem, blocks, fractions), problem.max_prob)
 
 
 def best_feasible(grid: GrationalGrid, max_prob: float) -> GrationalSolution:
@@ -274,6 +301,6 @@ def violation_probability(
         max_prob=1.0,
     )
     fraction(f)
-    wins = outcome_matrix(bet, n_steps, budget.n_paths, budget.root_seed)
-    grid = _grid_stats(problem, wins, np.asarray([f], dtype=float))
+    blocks = _win_blocks(bet, n_steps, budget)
+    grid = _grid_stats(problem, blocks, np.asarray([f], dtype=float))
     return McEstimate(float(grid.p_violation[0]), float(grid.se_violation[0]))

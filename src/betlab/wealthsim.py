@@ -99,21 +99,34 @@ class PathStats:
     ruined: bool
 
 
-def outcome_matrix(bet: BetSpec, n_steps: int, n_paths: int, root_seed: int) -> np.ndarray:
-    """Win/loss indicators, shape ``(n_paths, n_steps)``, dtype bool.
-
-    Row ``k`` depends only on ``(root_seed, k)``.  Outcomes do not depend
-    on the betting fraction, so one matrix can be reused across fractions
-    (the common-random-numbers contract used by the grational solver).
-    """
+def outcome_size(n_steps: int, n_paths: int) -> tuple[int, int]:
+    """``n_steps`` and ``n_paths`` as counts whose product numpy can index:
+    the rule for the shape of an outcome matrix, drawn whole or in blocks."""
     n_steps, n_paths = count(n_steps, "n_steps"), count(n_paths, "n_paths")
     if n_paths * n_steps > MAX_LENGTH:
         raise DomainError(
             f"{shown(n_paths)} paths of {shown(n_steps)} steps exceed what numpy can index"
         )
+    return n_steps, n_paths
+
+
+def outcome_matrix(
+    bet: BetSpec, n_steps: int, n_paths: int, root_seed: int, first: int = 0
+) -> np.ndarray:
+    """Win/loss indicators, shape ``(n_paths, n_steps)``, dtype bool.
+
+    Row ``i`` is path ``first + i`` and depends only on ``(root_seed, first
+    + i)``, so a matrix drawn in blocks of rows (``first`` = 0, m, 2m, ...)
+    has the bits of the whole one, and a caller that reads it block by
+    block needs the memory of one block.  Outcomes do not depend on the
+    betting fraction, so one matrix can be reused across fractions (the
+    common-random-numbers contract used by the grational solver).
+    """
+    n_steps, n_paths = outcome_size(n_steps, n_paths)
+    first = integer(first, "first path", 0)
     wins = np.empty((n_paths, n_steps), dtype=bool)
-    for k in range(n_paths):
-        wins[k] = stream(root_seed, k).random(n_steps) < bet.p
+    for i in range(n_paths):
+        wins[i] = stream(root_seed, first + i).random(n_steps) < bet.p
     return wins
 
 

@@ -121,6 +121,27 @@ class TestExitCodes:
         assert out == "" and err.endswith(f": error: {message}\n")
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # Python's conversion text once stood in place of the spec's rule.
+            ("biased:x", "expected biased:<p>"),
+            ("bestresponse:1/2", "expected bestresponse:<p>"),
+            ("exploiter:k=x", "expected exploiter[:k=<1..8>]"),
+            ("exploiter:K=2.5", "expected exploiter[:k=<1..8>]"),
+            ("exploiter:x", "expected exploiter[:k=<1..8>]"),
+            # A value that converts keeps its range message.
+            ("biased:1.5", "p_h must lie in [0, 1], got 1.5"),
+            ("exploiter:K=0", "context order must lie in [1, 8], got 0"),
+        ],
+    )
+    def test_bad_strategy_value_is_one_usage_error(self, spec, message, capsys):
+        assert run(["pennies", "--p1", spec, "--p2", "coinflip", "--rounds", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        assert err.count("usage:") == 1 and err.count("error:") == 1
+        assert err.endswith(f": error: argument --p1: bad strategy spec {spec!r}: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["kelly", "--p", "1.5", "--d", "1"],  # bad probability
@@ -144,6 +165,10 @@ class TestExitCodes:
               "--max-prob", "0.1"], "loss threshold must lie in [-inf, inf], got nan"),
             (["miller", "--mode", "empirical", "--shares", "1", "--buyers", str(2**62),
               "--sds", "1"], f"m_buyers must lie in [1, {sys.maxsize // 8}], got {2**62}"),
+            # Drawn in blocks, the matrix is still bounded before any path.
+            (["grational", "--p", "0.6", "--d", "1", "--steps", "2", "--threshold", "1",
+              "--max-prob", "0.1", "--paths", str(10**20)],
+             f"{10**20} paths of 2 steps exceed what numpy can index"),
         ],
     )
     def test_domain_error_line(self, argv, message, capsys):

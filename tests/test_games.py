@@ -453,10 +453,29 @@ class TestParseAndExport:
 
     @pytest.mark.parametrize(
         "text, k",
-        [("exploiter", 2), ("exploiter:3", 3), ("exploiter: k=4", 4), ("EXPLOITER:k=5 ", 5)],
+        [("exploiter", 2), ("exploiter:3", 3), ("exploiter: k=4", 4), ("EXPLOITER:k=5 ", 5),
+         ("exploiter:K=6", 6), ("exploiter:K= 7", 7)],
     )
     def test_parse_exploiter_k(self, text, k):
         assert parse_strategy(text).k == k
+
+    @pytest.mark.parametrize(
+        "text, rule",
+        [
+            # Each once printed Python's conversion text ("could not convert
+            # string to float", "invalid literal for int()").
+            ("biased:x", "biased:<p>"),
+            ("biased", "biased:<p>"),
+            ("bestresponse:0.5.1", "bestresponse:<p>"),
+            ("exploiter:k=x", "exploiter[:k=<1..8>]"),
+            ("exploiter:K=2.5", "exploiter[:k=<1..8>]"),
+            ("exploiter:kk=2", "exploiter[:k=<1..8>]"),
+        ],
+    )
+    def test_parse_unconverted_value_prints_the_rule(self, text, rule):
+        with pytest.raises(DomainError) as info:
+            parse_strategy(text)
+        assert str(info.value) == f"bad strategy spec {text!r}: expected {rule}"
 
     def test_parse_unknown_lists_every_spec(self):
         with pytest.raises(DomainError) as info:

@@ -1,6 +1,7 @@
 import math
 import runpy
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betlab import grational
+from betlab import grational, seeding
 from betlab.betmath import BetSpec, kelly_fraction
 from betlab.errors import BudgetError, DomainError, InfeasibleThreshold
 from betlab.grational import (
@@ -271,18 +272,74 @@ class TestFirstViolationSearch:
             st.floats(0.0, 0.999).map(lambda f: np.asarray([f])),
         ),
         seed=st.integers(0, 2**32),
+        split=st.sampled_from(["one block", "rows", "equal", "random"]),
+        data=st.data(),
     )
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_brute_force(
-        self, p, d, kind, n_steps, n_paths, threshold, max_prob, fractions, seed
+        self, p, d, kind, n_steps, n_paths, threshold, max_prob, fractions, seed, split, data
     ):
         bet = BetSpec(p, d)
         problem = GrationalProblem(bet, n_steps, kind, threshold, max_prob)
         wins = outcome_matrix(bet, n_steps, n_paths, seed)
-        grid = grational._grid_stats(problem, wins, fractions)
+        # The kernel reads the matrix in blocks of rows: one block, 1-row
+        # blocks, equal blocks with a partial last one, or random cuts.
+        inner = range(1, n_paths)
+        if split == "one block":
+            cuts = []
+        elif split == "rows":
+            cuts = inner
+        elif split == "equal":
+            size = data.draw(st.integers(1, n_paths))
+            cuts = range(size, n_paths, size)
+        else:
+            cuts = data.draw(st.sets(st.sampled_from(inner)) if inner else st.just(set()))
+        grid = grational._grid_stats(problem, np.split(wins, sorted(cuts)), fractions)
         expected = brute_force_grid(problem, wins, fractions)
         for field in GRID_FIELDS:
             assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_solve_in_blocks_matches_brute_force(self, kind, monkeypatch):
+        # 300 steps give 217 paths per block: four full blocks and a partial
+        # one, each drawn from its first path on, never the whole matrix.
+        problem = GrationalProblem(BET, 300, kind, 0.3, 0.1)
+        budget = McBudget(1000, 5)
+        drawn = []
+        draw = grational.outcome_matrix
+
+        def recording(bet, n_steps, n_paths, root_seed, first=0):
+            drawn.append((first, n_paths))
+            return draw(bet, n_steps, n_paths, root_seed, first)
+
+        monkeypatch.setattr(grational, "outcome_matrix", recording)
+        grid = solve(problem, budget).grid
+        rows = grational._BLOCK_CELLS // 301
+        assert drawn == [(0, rows), (rows, rows), (2 * rows, rows), (3 * rows, rows),
+                         (4 * rows, 1000 - 4 * rows)]
+        wins = outcome_matrix(BET, 300, 1000, 5)
+        expected = brute_force_grid(problem, wins, grid.f)
+        for field in GRID_FIELDS:
+            assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+        drawn.clear()
+        estimate = violation_probability(BET, 0.2, 300, kind, 0.3, budget)
+        assert len(drawn) == 5
+        assert estimate.value == brute_force_grid(problem, wins, np.asarray([0.2])).p_violation[0]
+
+    def test_solve_memory_does_not_grow_with_the_matrix(self):
+        # The horizon problem's matrix is 10 MB of bools; drawn in blocks,
+        # the peak is the kernel's scratch (about 1.2 MB) and one block of
+        # seed words.  The first solve loads what numpy loads lazily.
+        problem = GrationalProblem(BET, 10_000, LossKind.WORST_LOSS, 2.0, 0.05)
+        solve(GrationalProblem(BET, 10, LossKind.WORST_LOSS, 2.0, 0.05), McBudget(1000, 1))
+        seeding._seed_words.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(problem, McBudget(1000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_log_wealth_passes_bounded_by_grid_bits(self, kind, monkeypatch):

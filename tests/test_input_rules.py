@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betlab import errors
+from betlab import errors, grational
 from betlab.betmath import (
     BetSpec,
     GrowthCurve,
@@ -241,6 +241,7 @@ INTEGER_SITES = {
         INF,
     ),
     "adaptive_policy_growth.n_steps": (lambda v: adaptive_policy_growth(BET, v, None), 1, MAX),
+    "outcome_matrix.first": (lambda v: outcome_matrix(BET, 2, 2, 1, first=v), 0, INF),
     "sample_normal_opinions.m_buyers": (
         lambda v: sample_normal_opinions(50.0, 10.0, v, None), 1, MAX
     ),
@@ -426,12 +427,31 @@ def test_outcome_matrix_size(n_steps, n_paths):
         outcome_matrix(BET, n_steps, n_paths, 1)
 
 
+@pytest.mark.parametrize(
+    "n_steps, n_paths",
+    [(sys.maxsize, 1000), (2, sys.maxsize), (MAX // 999, 1000), (2, 10**20), (2**63, 1000)],
+)
+def test_grational_matrix_size(n_steps, n_paths, monkeypatch):
+    # The solver draws the matrix in blocks, but still refuses one numpy
+    # could not index, before it draws a block.
+    def draw(*args):
+        raise AssertionError("drew outcomes before checking the matrix's size")
+
+    monkeypatch.setattr(grational, "outcome_matrix", draw)
+    budget = McBudget(n_paths, 1)
+    with pytest.raises(DomainError, match="exceed what numpy can index"):
+        solve(problem(n_steps), budget)
+    with pytest.raises(DomainError, match="exceed what numpy can index"):
+        violation_probability(BET, 0.1, n_steps, DD, 0.5, budget)
+
+
 HUGE_INT_CALLS = {
     "root_seed": lambda: errors.root_seed(10**5000),
     "real": lambda: errors.real(10**5000, "x"),
     "count": lambda: errors.count(-(10**5000), "n"),
     "probability": lambda: errors.probability(10**5000, "p"),
     "outcome_matrix": lambda: outcome_matrix(BET, 10**5000, 2, 1),
+    "outcome_matrix.first": lambda: outcome_matrix(BET, 2, 2, 1, first=-(10**5000)),
     "play_match": lambda: play_match(CoinFlip(), CoinFlip(), 10**5000, 1),
     "AuctionSpec.quantile_level": lambda: AuctionSpec(10**5000, 10).quantile_level(),
 }

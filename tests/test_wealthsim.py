@@ -26,12 +26,12 @@ from betlab.wealthsim import (
 )
 
 
-def oracle_outcome_matrix(bet, n_steps, n_paths, root_seed):
+def oracle_outcome_matrix(bet, n_steps, n_paths, root_seed, first=0):
     """One ``SeedSequence`` per path: the stream definition, row by row."""
     wins = np.empty((n_paths, n_steps), dtype=bool)
-    for k in range(n_paths):
-        rng = np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=(k,)))
-        wins[k] = rng.random(n_steps) < bet.p
+    for i in range(n_paths):
+        seq = np.random.SeedSequence(root_seed, spawn_key=(first + i,))
+        wins[i] = np.random.default_rng(seq).random(n_steps) < bet.p
     return wins
 
 
@@ -145,6 +145,31 @@ class TestOutcomeMatrix:
             outcome_matrix(bet, 3, n_paths, root_seed),
             oracle_outcome_matrix(bet, 3, n_paths, root_seed),
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        root_seed=st.integers(min_value=0, max_value=2**64 - 1),
+        first=st.integers(min_value=0, max_value=2**33) | st.sampled_from([4090, 2**32 - 3]),
+        n_steps=st.integers(min_value=1, max_value=30),
+        n_paths=st.integers(min_value=1, max_value=20),
+    )
+    def test_block_from_first_path_matches_oracle(self, root_seed, first, n_steps, n_paths):
+        # Row i is path first + i, within a 4096-key block of seed words,
+        # across one, and past 2**32, where keys take numpy's SeedSequence.
+        bet = BetSpec(0.6, 1.0)
+        assert np.array_equal(
+            outcome_matrix(bet, n_steps, n_paths, root_seed, first=first),
+            oracle_outcome_matrix(bet, n_steps, n_paths, root_seed, first),
+        )
+
+    @pytest.mark.parametrize(
+        "first", [-1, True, 2.5, "3", math.nan, -(10**5000)],
+        ids=["-1", "True", "2.5", "str", "nan", "-10**5000"],
+    )
+    def test_rejects_bad_first_path(self, first):
+        # Named as the first path, not as the stream key it becomes.
+        with pytest.raises(DomainError, match="first path"):
+            outcome_matrix(BetSpec(0.6, 1.0), 2, 2, 1, first=first)
 
     @pytest.mark.parametrize(
         "n_steps, n_paths", [(2.5, 3), (3, 2.5), (2.0, 3), ("3", 3), (3, math.nan)]
