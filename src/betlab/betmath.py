@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, NoPositiveRoot, column, fraction, probability, within
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class BetSpec:
@@ -59,6 +61,8 @@ class GrowthCurve:
     rates: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np  # here and in growth_curve, so the scalar rules load no numpy
+
         fractions = column(self.fractions, "fractions", float)
         if not np.all((fractions >= 0) & (fractions < 1)):
             raise DomainError("fractions must lie in [0, 1)")
@@ -69,7 +73,7 @@ class GrowthCurve:
 
     def argmax_fraction(self) -> float:
         """Grid fraction with the largest growth rate."""
-        return float(self.fractions[int(np.argmax(self.rates))])
+        return float(self.fractions[int(self.rates.argmax())])
 
 
 def kelly_fraction(bet: BetSpec) -> float:
@@ -96,6 +100,8 @@ def growth_derivative(bet: BetSpec, f: float) -> float:
 def growth_curve(bet: BetSpec, fractions: Sequence[float] | np.ndarray) -> GrowthCurve:
     """Evaluate the growth rate on an increasing grid of fractions.  A fraction
     outside [0, 1) makes a NaN rate here, but the curve refuses the grid first."""
+    import numpy as np
+
     fractions = column(fractions, "fractions", float)
     with np.errstate(all="ignore"):
         rates = bet.p * np.log1p(bet.d * fractions) + bet.q * np.log1p(-fractions)

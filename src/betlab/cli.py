@@ -14,6 +14,13 @@ Conventions shared by every subcommand:
 * ``--output PATH`` writes that output to a file instead of stdout.
 * Exit codes: 0 success, 1 domain error or failed allocation (on stderr), 2 usage.
 
+Each subcommand's module, and numpy, is imported when that subcommand runs
+(its handler, or the type function of one of its flags), not with this
+module.  So ``import betlab.cli``, ``--help``, ``kelly`` and ``popp`` load
+no numpy, and no command loads a module it does not use.  Handlers call
+through the module (``grational.solve``), where a wrapper installed on
+the module object sees every call.
+
 The experiment scripts in ``scripts/`` run through :func:`run` as well,
 with ``--seed`` and ``--output`` but no ``--format``: they print CSV.
 """
@@ -29,11 +36,8 @@ import sys
 from dataclasses import dataclass, fields
 from typing import IO, Callable, Iterable, Sequence
 
-import numpy as np
-
-from . import betmath, games, grational, millerclear, popp, render, sysstats, wealthsim
-from .errors import DomainError, NoPositiveRoot, root_seed
-from .seeding import DEFAULT_SEED
+from . import render
+from .errors import DEFAULT_SEED, DomainError, NoPositiveRoot, root_seed
 
 SEED_ENV_VAR = "GRATIONAL_SEED"
 
@@ -85,7 +89,25 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
+# The lazy type functions keep the names of the functions they call, since
+# argparse prints "invalid <name> value" for an error that is not a ValueError.
+@_argument
+def parse_strategy(text: str) -> object:
+    from . import games
+
+    return games.parse_strategy(text)
+
+
+@_argument
+def from_tokens(text: str) -> object:
+    from . import popp
+
+    return popp.StateVars.from_tokens(text)
+
+
 def _cmd_kelly(args: argparse.Namespace) -> CommandOutput:
+    from . import betmath
+
     bet = betmath.BetSpec(p=args.p, d=args.d)
     f = betmath.kelly_fraction(bet)
     try:
@@ -98,6 +120,10 @@ def _cmd_kelly(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
+    import numpy as np
+
+    from . import betmath, wealthsim
+
     config = wealthsim.SimConfig(
         bet=betmath.BetSpec(p=args.p, d=args.d),
         f=args.f,
@@ -126,6 +152,10 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
+    import numpy as np
+
+    from . import betmath, grational
+
     problem = grational.GrationalProblem(
         bet=betmath.BetSpec(p=args.p, d=args.d),
         n_steps=args.steps,
@@ -152,6 +182,8 @@ def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
+    from . import sysstats
+
     with open(args.input, newline="") as fh:
         series = sysstats.read_trades_csv(fh)
     which = sysstats.Filter(args.filter)
@@ -173,6 +205,8 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
+    from . import games
+
     seed = _resolve_seed(args.seed)
     if args.spy:
         if args.p2 is not None or args.rake:
@@ -197,6 +231,8 @@ def _cmd_pennies(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
+    from . import millerclear
+
     auction = millerclear.AuctionSpec(
         n_shares=args.shares, m_buyers=args.buyers, short_supply=args.short
     )
@@ -228,6 +264,8 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_popp(args: argparse.Namespace) -> CommandOutput:
+    from . import popp
+
     body = [
         (phase.value, score, popp.kelly_multiplier(phase))
         for phase, score in popp.classify_phase(args.state)
@@ -308,9 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="horizon length")
-    p.add_argument(
-        "--loss", choices=[k.value for k in grational.LossKind], default="worstloss"
-    )
+    p.add_argument("--loss", choices=("worstloss", "drawdown"), default="worstloss")
     p.add_argument("--threshold", type=float, required=True, help="loss size in nats")
     p.add_argument("--max-prob", type=float, required=True, help="violation cap u")
     p.add_argument("--paths", type=int, default=2000)
@@ -320,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", parents=[common], help="summary row from a trades CSV")
     p.add_argument("--input", required=True, help="CSV with header period_id,side,pnl")
-    p.add_argument("--filter", choices=[f.value for f in sysstats.Filter], default="all")
+    p.add_argument("--filter", choices=("long", "short", "all"), default="all")
     p.add_argument("--years", type=float, default=None, help="report average P&L per year")
     p.add_argument(
         "--ppgs-alpha", type=float, default=None,
@@ -329,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("pennies", parents=[common], help="matching-pennies matches")
-    p.add_argument("--p1", type=_argument(games.parse_strategy), required=True)
-    p.add_argument("--p2", type=_argument(games.parse_strategy), default=None)
+    p.add_argument("--p1", type=parse_strategy, required=True)
+    p.add_argument("--p2", type=parse_strategy, default=None)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--stake", type=float, default=1.0, help="stake per round")
     p.add_argument("--rake", type=float, default=0.0, help="per-round referee fee")
@@ -352,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("popp", parents=[common], help="classify a lifecycle sign vector")
     p.add_argument(
         "--state",
-        type=_argument(popp.StateVars.from_tokens),
+        type=from_tokens,
         required=True,
         help="nine comma-separated levels: ret,vol,sr,spd,pop,lev,sdiv,slink,srob",
     )

@@ -108,6 +108,11 @@ def fraction(value: object, what: str = "betting fraction") -> float:
     return within(value, what, 0, 1, "[)")
 
 
+# Default root seed used by the CLI when neither --seed nor the
+# GRATIONAL_SEED environment variable is given.
+DEFAULT_SEED = 0xD1CE5EED
+
+
 def root_seed(value: object, what: str = "root_seed") -> int:
     """``value`` as an int in [0, 2**64), numpy integers included."""
     return integer(value, what, 0, 2**64 - 1)

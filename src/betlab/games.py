@@ -305,8 +305,9 @@ _NUMBERS = {"biased": float, "exploiter": int, "bestresponse": float}
 
 def parse_strategy(text: str) -> Strategy:
     """Build a strategy from a CLI spec like 'biased:0.6' or 'exploiter:k=2'.
-    A value after ':' is never empty, and coinflip takes none.  A value that
-    is not a number where one is expected prints the spec's rule."""
+    A value after ':' is never empty, coinflip takes none, and a spec whose
+    value is not in [...] needs one.  A missing value, or one that is not a
+    number where one is expected, prints the spec's rule."""
     name, colon, arg = text.strip().partition(":")
     name, arg = name.lower(), arg.strip()
     if name not in _SPECS:
@@ -315,7 +316,8 @@ def parse_strategy(text: str) -> Strategy:
     if name == "exploiter" and arg[:2].lower() == "k=":
         arg = arg[2:].strip()
     expected = f"bad strategy spec {text!r}: expected {_SPECS[name]}"
-    if colon and (not arg or name == "coinflip"):
+    needs_value = _SPECS[name].startswith(f"{name}:")
+    if (not arg and (colon or needs_value)) or (colon and name == "coinflip"):
         raise DomainError(expected)
     if name == "exploiter" and not arg:
         return FrequencyExploiter()

@@ -34,11 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import errors
-from .errors import integer
-
-# Default root seed used by the CLI when neither --seed nor the
-# GRATIONAL_SEED environment variable is given.
-DEFAULT_SEED = 0xD1CE5EED
+from .errors import DEFAULT_SEED, integer  # DEFAULT_SEED: the package root exports it from here
 
 # Keys whose seed words are derived together, in one cached block.
 _BLOCK = 4096

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -7,7 +8,7 @@ import textwrap
 
 import pytest
 
-from betlab.cli import SEED_ENV_VAR, run
+from betlab.cli import SEED_ENV_VAR, build_parser, run
 from betlab.seeding import DEFAULT_SEED
 
 # The package root's 33 names, by the submodule each comes from.
@@ -32,6 +33,26 @@ ROOT_EXPORTS = {
     ],
 }
 ROOT_NAMES = [name for names in ROOT_EXPORTS.values() for name in names]
+
+# Each subcommand's arguments, and the betlab modules it loads beside the four
+# that ``import betlab.cli`` loads; "@trades" stands for the trades file.
+COMMAND_MODULES = {
+    "grational": (
+        ["--p", "0.6", "--d", "1", "--steps", "5", "--threshold", "0.3", "--max-prob", "0.2",
+         "--paths", "1000", "--grid-step", "0.1"],
+        ["betmath", "grational", "seeding", "wealthsim"],
+    ),
+    "simulate": (
+        ["--p", "0.6", "--d", "1", "--f", "0.2", "--steps", "5", "--paths", "3"],
+        ["betmath", "seeding", "wealthsim"],
+    ),
+    # sysstats takes its loss functionals from wealthsim.
+    "stats": (["--input", "@trades"], ["betmath", "seeding", "sysstats", "tails", "wealthsim"]),
+    "pennies": (
+        ["--p1", "biased:0.6", "--p2", "exploiter", "--rounds", "20"], ["games", "seeding"]
+    ),
+    "miller": (["--sds", "0,5", "--shares", "50", "--buyers", "1000"], ["millerclear", "seeding"]),
+}
 
 TRADES = """period_id,side,pnl
 1,L,3
@@ -132,6 +153,8 @@ class TestExitCodes:
             # A value that converts keeps its range message.
             ("biased:1.5", "p_h must lie in [0, 1], got 1.5"),
             ("exploiter:K=0", "context order must lie in [1, 8], got 0"),
+            # A missing value once printed "choice must be H or T, got ''".
+            ("fixed", "expected fixed:<H|T>"),
         ],
     )
     def test_bad_strategy_value_is_one_usage_error(self, spec, message, capsys):
@@ -184,6 +207,32 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+def flag(subcommand: str, option: str) -> argparse.Action:
+    """The action of ``option`` in the ``betlab`` parser's ``subcommand``."""
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[subcommand]._actions if option in a.option_strings)
+
+
+class TestParser:
+    def test_literal_choices_are_the_enum_values(self):
+        # Literal, so that building the parser imports neither module.
+        from betlab import grational, sysstats
+
+        assert flag("grational", "--loss").choices == tuple(k.value for k in grational.LossKind)
+        assert flag("stats", "--filter").choices == tuple(f.value for f in sysstats.Filter)
+
+    @pytest.mark.parametrize(
+        "subcommand, option, name",
+        [("pennies", "--p1", "parse_strategy"), ("pennies", "--p2", "parse_strategy"),
+         ("popp", "--state", "from_tokens")],
+    )
+    def test_lazy_types_keep_their_names(self, subcommand, option, name):
+        # argparse names the type in "invalid <name> value" for an error
+        # that is not a ValueError.
+        assert flag(subcommand, option).type.__name__ == name
 
 
 class TestKelly:
@@ -539,6 +588,7 @@ class TestImportGraph:
             """
             import sys
             import betlab.errors, betlab.render, betlab.tails
+            import betlab.cli, betlab.betmath, betlab.popp
             print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "betlab")))
             """
         )
@@ -546,7 +596,54 @@ class TestImportGraph:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['betlab', 'betlab.errors', 'betlab.render', 'betlab.tails']\n"
+        assert proc.stdout == str([
+            "betlab", "betlab.betmath", "betlab.cli", "betlab.errors", "betlab.popp",
+            "betlab.render", "betlab.tails",
+        ]) + "\n"
+
+    def test_scalar_commands_load_no_numpy(self):
+        # A fresh interpreter: each subcommand imports its modules when it runs.
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from betlab import cli
+
+            for argv in (["kelly", "--p", "0.6", "--d", "1"], ["popp", "--state", "++,+,+,-,-,-,+,?,+"],
+                         ["--help"], ["kelly", "--help"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(argv) == 0, argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_command_loads_only_its_modules(self, command, trades_csv):
+        # A fresh interpreter: each subcommand imports its modules when it runs.
+        args, modules = COMMAND_MODULES[command]
+        argv = [command, *(trades_csv if arg == "@trades" else arg for arg in args)]
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            from betlab import cli
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(sys.argv[1:]) == 0, sys.argv
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "betlab"))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        own = ["betlab", "betlab.cli", "betlab.errors", "betlab.render"]
+        assert proc.stdout == str(sorted(own + [f"betlab.{m}" for m in modules])) + "\n"
 
     def test_root_names_load_on_first_use(self):
         # A fresh interpreter: the root lists its names before loading any.

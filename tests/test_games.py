@@ -444,6 +444,9 @@ class TestParseAndExport:
             ("biased:", "biased:<p>"),
             ("fixed:", "fixed:<H|T>"),
             ("bestresponse:", "bestresponse:<p>"),
+            # fixed with no value once printed "choice must be H or T, got ''".
+            ("fixed", "fixed:<H|T>"),
+            ("bestresponse", "bestresponse:<p>"),
         ],
     )
     def test_parse_refuses_a_dropped_or_empty_value(self, text, rule):

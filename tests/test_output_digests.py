@@ -5,7 +5,8 @@ compares the sha256 of its stdout, and of the file it writes when given
 ``--output``, with a digest recorded from the code before the output
 format moved into one module.  The cases cover every
 subcommand in text, json and csv, the NA cells (kelly without an edge,
-simulate with one path), and the three scripts at small sizes.
+simulate with one path), and the three scripts at small sizes.  ``HELP``
+pins the ``--help`` text of ``betlab`` and of each subcommand.
 
 The stats record has more than 30 positioned periods, so the runs p-value
 takes the normal approximation and ``--ppgs-alpha`` runs the t-test;
@@ -383,6 +384,35 @@ def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
     run_case([*argv, "--output", str(target)], tmp_path, monkeypatch)
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == expected
+
+
+# name -> (argv, sha256 of stdout) of each parser's help, wrapped at 80 columns.
+HELP = {
+    "betlab": (["--help"], "721b036d7629a4ab0c3f451c214dda81d0110b69dfc8b3e9e5860244b551cb2d"),
+    "kelly": (["kelly", "--help"],
+              "33dd5b8643202c84cb51e70708e61a6026c608e3a401be86703c2178cb532b59"),
+    "simulate": (["simulate", "--help"],
+                 "73ee953530a701ed606f381361d1112346b4c1c7ceba062169ef65fdaef868fe"),
+    "grational": (["grational", "--help"],
+                  "186e53977691f26f8b74d1f58a339fd19bc6a7c3628026f2b866fee5a8d44881"),
+    "stats": (["stats", "--help"],
+              "991d2ea07784feb57889df3a3f7d2c9bc9b1d294cac7723849dc1783418cea5b"),
+    "pennies": (["pennies", "--help"],
+                "f0c0e8a8926053cb2b5a8421720e9f33889591289bb14de3e9a3c4e7c528ce4a"),
+    "miller": (["miller", "--help"],
+               "966a4abd55829aad5c2494cd171dc7fc899bf76296e638f0cde8d09d7092aa12"),
+    "popp": (["popp", "--help"],
+             "0bb9ed37ad2f9376f8591233f171557b637c2c88b7106e0ec75e12b516339be3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_digest(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    argv, expected = HELP[name]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected, out
 
 
 HEADER = "period_id,side,pnl\n"
