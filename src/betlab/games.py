@@ -155,23 +155,21 @@ class FrequencyExploiter(Strategy):
 
     def begin(self, rng: np.random.Generator, player: int) -> FrequencyExploiter:
         """A new exploiter that plays one match from seat ``player``: it, not
-        this strategy, holds the match's history and table."""
+        this strategy, holds the match's context and table."""
         seat = FrequencyExploiter(self.k)
-        seat._reply, seat._rng, seat._opp, seat._table = _replies(player), rng, [], {}
+        seat._reply, seat._rng, seat._context, seat._table = _replies(player), rng, (), {}
         return seat
 
     def choose(self) -> str:
-        if len(self._opp) >= self.k:
-            counts = self._table.get(tuple(self._opp[-self.k:]))
-            if counts is not None and counts[0] != counts[1]:
-                return self._reply[H if counts[0] > counts[1] else T]
+        counts = self._table.get(self._context)
+        if counts is not None and counts[0] != counts[1]:
+            return self._reply[H if counts[0] > counts[1] else T]
         return H if self._rng.random() < 0.5 else T
 
     def observe(self, opp: str) -> None:
-        if len(self._opp) >= self.k:
-            counts = self._table.setdefault(tuple(self._opp[-self.k:]), [0, 0])
-            counts[0 if opp == H else 1] += 1
-        self._opp.append(opp)
+        if len(self._context) == self.k:
+            self._table.setdefault(self._context, [0, 0])[0 if opp == H else 1] += 1
+        self._context = (*self._context, opp)[-self.k:]
 
 
 class BestResponder(Strategy):
@@ -288,55 +286,41 @@ def frequency_exploiter(
     return seat.choose()
 
 
-# Each strategy's CLI spec; [...] marks an optional value.
+# Each strategy's CLI rule, class and value conversion (None: it takes no
+# value); [...] marks an optional value.
 _SPECS = {
-    "coinflip": "coinflip",
-    "biased": "biased:<p>",
-    "fixed": "fixed:<H|T>",
-    "alternator": "alternator[:<H|T>]",
-    "exploiter": "exploiter[:k=<1..8>]",
-    "bestresponse": "bestresponse:<p>",
+    "coinflip": ("coinflip", CoinFlip, None),
+    "biased": ("biased:<p>", Biased, float),
+    "fixed": ("fixed:<H|T>", Fixed, str.upper),
+    "alternator": ("alternator[:<H|T>]", Alternator, str.upper),
+    "exploiter": ("exploiter[:k=<1..8>]", FrequencyExploiter, int),
+    "bestresponse": ("bestresponse:<p>", BestResponder, float),
 }
-
-
-# The strategies whose value is a number, and its type.
-_NUMBERS = {"biased": float, "exploiter": int, "bestresponse": float}
 
 
 def parse_strategy(text: str) -> Strategy:
     """Build a strategy from a CLI spec like 'biased:0.6' or 'exploiter:k=2'.
-    A value after ':' is never empty, coinflip takes none, and a spec whose
-    value is not in [...] needs one.  A missing value, or one that is not a
-    number where one is expected, prints the spec's rule."""
+    A value after ':' is never empty, a strategy without a conversion takes
+    none, and a spec whose value is not in [...] needs one.  A missing value,
+    or one that is not a number where one is expected, prints the spec's
+    rule."""
     name, colon, arg = text.strip().partition(":")
     name, arg = name.lower(), arg.strip()
     if name not in _SPECS:
-        *first, last = _SPECS.values()
+        *first, last = (rule for rule, _, _ in _SPECS.values())
         raise DomainError(f"unknown strategy {name!r}; expected {', '.join(first)}, or {last}")
-    if name == "exploiter" and arg[:2].lower() == "k=":
+    rule, cls, convert = _SPECS[name]
+    if ":k=" in rule and arg[:2].lower() == "k=":
         arg = arg[2:].strip()
-    expected = f"bad strategy spec {text!r}: expected {_SPECS[name]}"
-    needs_value = _SPECS[name].startswith(f"{name}:")
-    if (not arg and (colon or needs_value)) or (colon and name == "coinflip"):
+    expected = f"bad strategy spec {text!r}: expected {rule}"
+    if (not arg and (colon or rule.startswith(f"{name}:"))) or (arg and convert is None):
         raise DomainError(expected)
-    if name == "exploiter" and not arg:
-        return FrequencyExploiter()
     try:
-        value = _NUMBERS[name](arg) if name in _NUMBERS else arg.upper()
+        values = [convert(arg)] if arg else []
     except ValueError:
         raise DomainError(expected) from None
     try:
-        if name == "coinflip":
-            return CoinFlip()
-        if name == "biased":
-            return Biased(p_h=value)
-        if name == "fixed":
-            return Fixed(choice=value)
-        if name == "alternator":
-            return Alternator(start=value or H)
-        if name == "exploiter":
-            return FrequencyExploiter(k=value)
-        return BestResponder(announced_p_h=value)
+        return cls(*values)
     except ValueError as exc:
         raise DomainError(f"bad strategy spec {text!r}: {exc}") from exc
 

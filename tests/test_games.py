@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +364,18 @@ class TestFrequencyExploiter:
         with pytest.raises(DomainError):
             frequency_exploiter(["H", "X"], k=2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        history=st.lists(st.sampled_from("HT"), max_size=80),
+        k=st.integers(1, 8),
+        player=st.sampled_from([1, 2]),
+    )
+    def test_functional_form_matches_the_oracle(self, history, k, player):
+        choose, observe = oracle_player(FrequencyExploiter(k), stream(0), player)
+        for choice in history:
+            observe(choice)
+        assert frequency_exploiter(history, k=k, player=player) == choose()
+
     def test_context_order_bounds(self):
         with pytest.raises(DomainError):
             FrequencyExploiter(k=0)
@@ -532,3 +545,11 @@ class TestParseAndExport:
         write_transcript_csv(t, got)
         # As lists of lines, so that a failure is explained without a text diff.
         assert got.getvalue().splitlines(True) == expected.getvalue().splitlines(True)
+
+
+def test_readme_lists_the_strategy_rules():
+    """The README's sentence on pennies specs names each rule of the spec
+    table, in its order."""
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = readme.split("Strategy specs for `pennies`:", 1)[1].split("`.", 1)[0] + "`"
+    assert re.findall(r"`([^`]+)`", sentence) == [rule for rule, _, _ in games._SPECS.values()]

@@ -6,7 +6,9 @@ compares the sha256 of its stdout, and of the file it writes when given
 format moved into one module.  The cases cover every
 subcommand in text, json and csv, the NA cells (kelly without an edge,
 simulate with one path), and the three scripts at small sizes.  ``HELP``
-pins the ``--help`` text of ``betlab`` and of each subcommand.
+pins the ``--help`` text of ``betlab`` and of each subcommand.  The
+exploiter's round loop is pinned against a spy and against a second
+exploiter, with the digests recorded before its seat kept only a context.
 
 The stats record has more than 30 positioned periods, so the runs p-value
 takes the normal approximation and ``--ppgs-alpha`` runs the t-test;
@@ -99,6 +101,9 @@ DRAWDOWN = ["grational", "--p", "0.55", "--d", "1.5", "--steps", "15", "--loss",
 PENNIES = ["pennies", "--p1", "biased:0.6", "--p2", "exploiter:k=2", "--rounds", "40",
            "--seed", "9"]
 SPY = ["pennies", "--p1", "alternator", "--spy", "--rounds", "12", "--stake", "2.5"]
+SPY_EXPLOITER = ["pennies", "--p1", "exploiter:k=3", "--spy", "--rounds", "300", "--seed", "5"]
+EXPLOITERS = ["pennies", "--p1", "exploiter:k=1", "--p2", "exploiter:k=8", "--rounds", "2000",
+              "--seed", "5"]
 RAKE = ["pennies", "--p1", "coinflip", "--p2", "fixed:T", "--rounds", "15", "--rake", "0.3",
         "--stake", "0.7"]
 POPP = ["popp", "--state", "++,+,+,-,-,-,+,?,+"]
@@ -284,6 +289,30 @@ CASES = {
     "pennies-spy-csv": (
         [*SPY, "--format", "csv"],
         "93d8623dcdd271e9916109f695749c003417331bf4df89198a0980f8f019cb19",
+    ),
+    "pennies-spy-exploiter-text": (
+        SPY_EXPLOITER,
+        "cb17f9cf9283cec223536cfd1dbd954c3a16183c8709a41a2f9681f1d18a780a",
+    ),
+    "pennies-spy-exploiter-json": (
+        [*SPY_EXPLOITER, "--format", "json"],
+        "ecc53430fe6f533f2f8d60fef240c6d7a5d55da3059c847f18c7b5b60fd1ebc8",
+    ),
+    "pennies-spy-exploiter-csv": (
+        [*SPY_EXPLOITER, "--format", "csv"],
+        "28065f6f81c6a7a96c6896b74fa379825c67224151860d7075d89a9944cb5278",
+    ),
+    "pennies-exploiters-text": (
+        EXPLOITERS,
+        "3e3b623200ab4fff07ffe19083222a88f2fa9d5e225efe657ece3c5d8f0d564e",
+    ),
+    "pennies-exploiters-json": (
+        [*EXPLOITERS, "--format", "json"],
+        "a19609112a21c6bd9dc056ccfd3b8db3003b7ef78ceb25bbc2b720cd94239d9d",
+    ),
+    "pennies-exploiters-csv": (
+        [*EXPLOITERS, "--format", "csv"],
+        "0d7eb363788fb92e1c147ebf53a4509fba268365e86437ab9a5360a086ad0b04",
     ),
     "pennies-rake-text": (
         RAKE,
