@@ -237,7 +237,8 @@ def _cmd_miller(args: argparse.Namespace) -> CommandOutput:
         n_shares=args.shares, m_buyers=args.buyers, short_supply=args.short
     )
     level = auction.quantile_level()
-    seed = _resolve_seed(args.seed)
+    # Only the empirical mode draws, so only it reads the seed.
+    seed = _resolve_seed(args.seed) if args.mode == "empirical" else None
     prices = []
     for sd in args.sds:
         if args.mode == "normal":

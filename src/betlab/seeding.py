@@ -57,21 +57,12 @@ def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
     return np.array([init * pow(mult, j, 2**32) % 2**32 for j in steps], dtype=np.uint32)
 
 
-def _xorshift16(state: np.ndarray, j: int) -> None:
-    """``state[:, j] ^= state[:, j] >> 16`` in place on little-endian uint32
-    words: the low half of each word takes the xor of its high half."""
-    halves = state.view("<u2")
-    halves[:, 2 * j] ^= halves[:, 2 * j + 1]
-
-
 @lru_cache(maxsize=1)
 def _seed_words(root_seed: int, block: int) -> np.ndarray:
     """PCG64 seed words of keys ``block*_BLOCK + i``: read-only ``(_BLOCK, 4)`` uint64.
 
     Row i equals ``SeedSequence(root_seed, spawn_key=(key,)).generate_state(4,
-    np.uint64)``.  One cached block serves a loop over consecutive keys.  It
-    is derived in place, one column at a time, in the ``(_BLOCK, 8)`` uint32
-    buffer that becomes the result.
+    np.uint64)``.  One cached block serves a loop over consecutive keys.
     """
     from numpy.random import bit_generator
 
@@ -79,29 +70,19 @@ def _seed_words(root_seed: int, block: int) -> np.ndarray:
     mix_l = bit_generator.SeedSequence(root_seed).pool * np.uint32(_MIX_L)
     a = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL, _POOL + 1)
     b = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
+    keys = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
     state = np.empty((_BLOCK, 2 * _POOL), dtype="<u4")
-    keys = state[:, _POOL]
-    keys[:] = np.arange(block * _BLOCK, (block + 1) * _BLOCK, dtype=np.uint32)
     # The key is the fifth entropy word: hash steps 16-19 of mix_entropy hash
     # it once per pool word, and mix(pool word, hashed key) gives the pool.
+    # generate_state(4, uint64) reads eight words cycling over the pool.
     for j in range(_POOL):
-        word = state[:, j]
-        np.bitwise_xor(keys, a[j], out=word)
-        word *= a[j + 1]
-        _xorshift16(state, j)
-        word *= np.uint32(_MIX_R)
-        np.subtract(mix_l[j], word, out=word)
-        _xorshift16(state, j)
-    # generate_state(4, uint64): eight uint32 words cycling over the pool,
-    # hashed, then paired little-endian into four uint64.  Columns 4-7 copy
-    # the pool before columns 0-3 are hashed.
-    for j in reversed(range(2 * _POOL)):
-        word = state[:, j]
-        if j >= _POOL:
-            word[:] = state[:, j - _POOL]
-        word ^= b[j]
-        word *= b[j + 1]
-        _xorshift16(state, j)
+        h = (keys ^ a[j]) * a[j + 1]
+        h = mix_l[j] - (h ^ h >> 16) * np.uint32(_MIX_R)
+        state[:, j] = state[:, j + _POOL] = h ^ h >> 16
+    # Hash the eight words, then pair them little-endian into four uint64.
+    for j in range(2 * _POOL):
+        h = (state[:, j] ^ b[j]) * b[j + 1]
+        state[:, j] = h ^ h >> 16
     words = state.view("<u8").astype(np.uint64, copy=False)
     words.flags.writeable = False
     return words

@@ -296,6 +296,16 @@ class TestSeedResolution:
         assert run([*self.ARGS, "--seed", "7"]) == 0
         capsys.readouterr()
 
+    def test_only_empirical_miller_reads_the_env(self, capsys, monkeypatch):
+        # Normal mode draws nothing, so a bad env seed must not stop it.
+        argv = ["miller", "--sds", "1", "--shares", "1", "--buyers", "2"]
+        clean = out_of(capsys, argv)
+        monkeypatch.setenv(SEED_ENV_VAR, "bad")
+        assert out_of(capsys, argv) == clean
+        assert run([*argv, "--mode", "empirical"]) == 1
+        err = capsys.readouterr().err
+        assert f"bad {SEED_ENV_VAR} value 'bad'" in err
+
 
 class TestOutputFile:
     def test_file_matches_stdout(self, capsys, tmp_path):

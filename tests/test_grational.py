@@ -52,6 +52,23 @@ def enumerated_violation(bet, f, n, kind, threshold):
     return total
 
 
+def exact_worst_loss_violation(bet, f, n, threshold):
+    """P[worst loss >= threshold] by dynamic programming over the win count.
+
+    Log wealth after k wins in s steps is ``k*ab + s*b``, the kernel's own
+    float expression, so a Monte Carlo count is exactly
+    Binomial(n_paths, this value).  Carry the surviving mass over k, one
+    step at a time, and kill each state whose log wealth is at most -T.
+    """
+    b = math.log1p(-f)
+    ab = math.log1p(bet.d * f) - b
+    alive = np.array([1.0])
+    for s in range(1, n + 1):
+        alive = np.append(alive * (1 - bet.p), 0.0) + np.append(0.0, alive * bet.p)
+        alive[np.arange(s + 1) * ab + s * b <= -threshold] = 0.0
+    return 1.0 - alive.sum()
+
+
 def brute_force_grid(problem, wins, fractions):
     """Score every grid fraction on the full log-wealth matrix."""
     n_paths, n_steps = wins.shape
@@ -166,6 +183,32 @@ class TestViolationProbability:
     def test_monte_carlo_matches_enumeration(self, kind, exact):
         est = violation_probability(BET, 0.9, 5, kind, 0.5, McBudget(50_000, 21))
         assert abs(est.value - exact) <= 3 * est.se
+
+    @pytest.mark.parametrize("f,n,threshold", [(0.9, 5, 0.5), (0.3, 8, 0.4), (0.5, 10, 1.0)])
+    def test_dynamic_programming_oracle_matches_enumeration(self, f, n, threshold):
+        exact = exact_worst_loss_violation(BET, f, n, threshold)
+        enumerated = enumerated_violation(BET, f, n, LossKind.WORST_LOSS, threshold)
+        assert exact == pytest.approx(enumerated, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p,d,n_steps,threshold,n_paths,seed",
+        [
+            (0.6, 1.0, 50, 0.5, 4000, 1),
+            (0.55, 2.0, 80, 1.0, 3000, 2),
+            (0.6, 1.0, 200, 2.0, 3000, 3),
+        ],
+    )
+    def test_monte_carlo_counts_are_binomial_around_the_exact_value(
+        self, p, d, n_steps, threshold, n_paths, seed
+    ):
+        bet = BetSpec(p, d)
+        budget = McBudget(n_paths, seed)
+        for f in (0.05, 0.1, 0.2, 0.3, 0.5):
+            exact = exact_worst_loss_violation(bet, f, n_steps, threshold)
+            est = violation_probability(bet, f, n_steps, LossKind.WORST_LOSS, threshold, budget)
+            count = round(est.value * n_paths)
+            sd = math.sqrt(n_paths * exact * (1 - exact))
+            assert abs(count - n_paths * exact) <= 5 * sd + 1, (f, count, n_paths * exact)
 
     def test_single_step_exact_binomial(self):
         # n=1, worst loss: violation iff the one bet loses and

@@ -1,12 +1,14 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betlab import seeding
 from betlab.errors import DomainError
 from betlab.seeding import DEFAULT_SEED, stream
 
@@ -144,3 +146,19 @@ class TestValidation:
         message = r"root_seed must lie in \[0, 18446744073709551615\]"
         with pytest.raises(DomainError, match=message):
             stream(root_seed, 0)
+
+
+class TestMemory:
+    def test_one_block_has_no_full_size_temporaries(self):
+        # The result is 128 KB and one uint32 column 16 KB; temporaries the
+        # size of the whole block would pass 400 KB.  The first call loads
+        # what numpy loads lazily.
+        seeding._seed_words(1, 0)
+        seeding._seed_words.cache_clear()
+        tracemalloc.start()
+        try:
+            seeding._seed_words(DEFAULT_SEED, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * 1024
