@@ -184,8 +184,11 @@ def _cmd_grational(args: argparse.Namespace) -> CommandOutput:
 def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     from . import sysstats
 
-    with open(args.input, newline="") as fh:
-        series = sysstats.read_trades_csv(fh)
+    try:
+        with open(args.input, newline="", encoding="utf-8") as fh:
+            series = sysstats.read_trades_csv(fh)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{args.input} is not UTF-8 text: {exc.reason}") from None
     which = sysstats.Filter(args.filter)
     label = which.value.title()
     row = sysstats.summarize(series, which)

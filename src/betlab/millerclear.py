@@ -121,6 +121,8 @@ def clearing_price(dist: OpinionDistribution, auction: AuctionSpec) -> float:
         else:
             price = dist.mean + dist.sd * float(ndtri(level))
         return max(price, 0.0) if dist.truncate else price
+    if not isinstance(dist, EmpiricalOpinions):
+        raise DomainError(f"dist must be a NormalOpinions or EmpiricalOpinions, got {dist!r}")
     return _kth_highest(dist, auction, auction.supply)
 
 

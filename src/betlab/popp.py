@@ -187,6 +187,8 @@ def kelly_multiplier(
     A custom schedule must keep the shape of the default one:
     Eureka = EarlyCopycat > LateCopycat > Crash, all within [0, 1].
     """
+    if not isinstance(phase, Phase):
+        raise DomainError(f"expected a Phase, got {phase!r}")
     table = DEFAULT_MULTIPLIERS if schedule is None else schedule
     if set(table) != set(Phase):
         raise DomainError("schedule must cover exactly the four phases")

@@ -142,14 +142,6 @@ class RunsResult:
     degenerate: bool
 
 
-def _universe(series: TradeSeries, which: Filter) -> tuple[np.ndarray, np.ndarray]:
-    """Sides and P&L of the periods that ``which`` keeps, in order."""
-    if which is Filter.ALL:
-        return series.side, series.pnl
-    keep = series.side == ("L" if which is Filter.LONG else "S")
-    return series.side[keep], series.pnl[keep]
-
-
 def runs_test(outcomes: Sequence[bool]) -> RunsResult:
     """Runs count and left-tail p-value P[R <= observed] under the null.
 
@@ -197,7 +189,10 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     """Summary-table row for one filter; see module docstring for semantics."""
     if not isinstance(which, Filter):
         raise DomainError(f"which must be a Filter, got {which!r}")
-    side, universe = _universe(series, which)
+    side, universe = series.side, series.pnl
+    if which is not Filter.ALL:
+        keep = side == ("L" if which is Filter.LONG else "S")
+        side, universe = side[keep], universe[keep]
     if not universe.size:
         raise EmptySelection(f"no periods match filter {which.value!r}")
     pnl = universe[side != "F"]
@@ -279,18 +274,15 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     if pnl.size < 30:
         return Ppgs.INDETERMINATE
     mean, sd = _mean_sd(pnl)
-    if sd == 0.0:
-        if mean > 0:
-            return Ppgs.POSITIVE
-        if mean < 0:
-            return Ppgs.NEGATIVE
-        return Ppgs.INDETERMINATE
-    p_value = t_pvalue(*_t_statistic(pnl))
-    if p_value is None or abs(p_value - alpha) <= _P_SLACK * alpha:
-        p_value = _ttest_pvalue(pnl)
-    if p_value < alpha and mean > 0:
+    if sd != 0.0:
+        p_value = t_pvalue(*_t_statistic(pnl))
+        if p_value is None or abs(p_value - alpha) <= _P_SLACK * alpha:
+            p_value = _ttest_pvalue(pnl)
+        if not p_value < alpha:
+            return Ppgs.INDETERMINATE
+    if mean > 0:
         return Ppgs.POSITIVE
-    if p_value < alpha and mean < 0:
+    if mean < 0:
         return Ppgs.NEGATIVE
     return Ppgs.INDETERMINATE
 

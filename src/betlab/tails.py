@@ -2,9 +2,9 @@
 
 ``ndtr`` is a port of the Cephes ``ndtr`` with its ``erf`` and ``erfc``
 (Moshier, *Methods and Programs for Mathematical Functions*, 1989): the
-same coefficients, the same ``polevl``/``p1evl`` Horner order and the
-libm ``exp``, so it returns the bits of ``scipy.special.ndtr``, which
-compiles that code.
+same coefficients, the same Horner order in one ``_polevl`` (the denominator
+tables store Cephes' implicit leading 1) and the libm ``exp``, so it returns
+the bits of ``scipy.special.ndtr``, which compiles that code.
 
 ``t_pvalue`` is the two-sided p-value of a t statistic,
 ``I_x(df/2, 1/2)`` at ``x = df/(df + t**2)``.  It evaluates the
@@ -24,13 +24,14 @@ from __future__ import annotations
 import math
 
 # Cephes ndtr.c: erfc on [1, 8) is P/Q, on [8, inf) R/S; erf on [0, 1) is x T/U.
+# _polevl evaluates them all: Q, S and U store the 1 that Cephes' p1evl implies.
 _P = (
     2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
     4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
     9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
 )
 _Q = (
-    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
     9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
     1.65666309194161350182e3, 5.57535340817727675546e2,
 )
@@ -39,7 +40,7 @@ _R = (
     6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
 )
 _S = (
-    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
     1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
 )
 _T = (
@@ -47,7 +48,7 @@ _T = (
     7.00332514112805075473e3, 5.55923013010394962768e4,
 )
 _U = (
-    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
     2.26290000613890934246e4, 4.92673942608635921086e4,
 )
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
@@ -61,18 +62,10 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """``_polevl`` with a leading coefficient of 1 that is not stored."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _erf(x: float) -> float:
     """erf for ``|x| < 1``, the only arguments ``ndtr`` and ``_erfc`` give it."""
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    return x * _polevl(z, _T) / _polevl(z, _U)
 
 
 def _erfc(x: float) -> float:
@@ -83,7 +76,7 @@ def _erfc(x: float) -> float:
     if z < -_MAXLOG:  # exp(z) underflows
         return 0.0
     p, q = (_P, _Q) if x < 8.0 else (_R, _S)
-    return math.exp(z) * _polevl(x, p) / _p1evl(x, q)
+    return math.exp(z) * _polevl(x, p) / _polevl(x, q)
 
 
 def ndtr(a: float) -> float:

@@ -161,6 +161,8 @@ def path_losses(
     """
     if kind is LossKind.WORST_LOSS:
         return lw[..., 0] - lw.min(axis=-1)
+    if kind is not LossKind.DRAWDOWN:
+        raise DomainError(f"loss_kind must be a LossKind, got {kind!r}")
     peak = np.maximum.accumulate(lw, axis=-1, out=out)
     peak -= lw
     return peak.max(axis=-1)

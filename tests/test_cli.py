@@ -386,6 +386,21 @@ class TestStats:
         assert run(["stats", "--input", str(path)]) == 1
         capsys.readouterr()
 
+    def test_non_utf8_file_is_one_error_line(self, capsys, tmp_path):
+        # Read in the locale's encoding, 0xff once escaped as UnicodeDecodeError.
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"period_id,side,pnl\n1,L,\xff\n")
+        assert run(["stats", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"error: {path} is not UTF-8 text: invalid start byte\n"
+
+    def test_average_gain_overflow_is_one_error_line(self, capsys, trades_csv):
+        assert run(["stats", "--input", trades_csv, "--years", "1e-320"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: average gain per year overflows over 1e-320 years\n"
+        )
+
 
 class TestPennies:
     def test_spy_payload(self, capsys):

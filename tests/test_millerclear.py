@@ -244,6 +244,17 @@ class TestReauction:
             reauction_price(NormalOpinions(50.0, 10.0), SCARCE)
 
 
+class TestDistributionType:
+    @pytest.mark.parametrize("dist", [None, "normal", [50.0, 60.0, 70.0]])
+    def test_clearing_refuses_a_non_distribution(self, dist):
+        # None once raised AttributeError on .samples.
+        message = f"dist must be a NormalOpinions or EmpiricalOpinions, got {dist!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            clearing_price(dist, AuctionSpec(1, 3))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            short_selling_effect(dist, AuctionSpec(1, 3), [0, 1])
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         a = sample_normal_opinions(50.0, 10.0, 64, root_seed=3)

@@ -210,6 +210,14 @@ class TestSizing:
         with pytest.raises(DomainError):
             kelly_multiplier(Phase.EUREKA, schedule)
 
+    @pytest.mark.parametrize("phase", ["bogus", "late-copycat", None])
+    def test_rejects_non_phase(self, phase):
+        # "bogus" once raised KeyError; a member's string value was looked up.
+        with pytest.raises(DomainError, match=f"^expected a Phase, got {phase!r}$"):
+            kelly_multiplier(phase)
+        with pytest.raises(DomainError, match="expected a Phase"):
+            scaled_fraction(phase, BetSpec(0.6, 1.0))
+
     def test_rejects_partial_coverage(self):
         with pytest.raises(DomainError):
             kelly_multiplier(Phase.EUREKA, {Phase.EUREKA: 1.0})

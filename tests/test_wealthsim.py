@@ -18,6 +18,7 @@ from betlab.wealthsim import (
     adaptive_policy_growth,
     drawdown,
     outcome_matrix,
+    path_losses,
     path_stats,
     ruin_probability_all_in,
     simulate_paths,
@@ -203,6 +204,12 @@ class TestLossFunctionals:
             assert worst_loss(path) == lw[0] - min(lw)
             brute = max(max(lw[: s + 1]) - lw[s] for s in range(lw.size))
             assert drawdown(path) == brute
+
+    @pytest.mark.parametrize("kind", ["worstloss", "drawdown", None, 0])
+    def test_path_losses_refuses_a_kind_that_is_not_a_member(self, kind):
+        # A member's string value once fell through to drawdown.
+        with pytest.raises(DomainError, match=f"^loss_kind must be a LossKind, got {kind!r}$"):
+            path_losses(np.array([0.0, 1.0, 0.5]), kind)
 
     @given(st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=60))
     def test_ordering_invariant(self, increments):
