@@ -4,7 +4,8 @@ Every public entry point checks its integers (counts, array lengths, seeds),
 probabilities, betting fractions, other reals and arrays with the functions
 below, so each rule and its message are written once.  Each rejects NaN,
 infinities, bools, strings and out-of-range values with a
-:class:`DomainError`; numpy numbers pass.
+:class:`DomainError`; numpy numbers pass.  An enum, record or strategy
+argument is checked by type with :func:`instance`.
 """
 
 import math
@@ -49,6 +50,16 @@ def shown(value: object, text=str) -> str:
         if not isinstance(value, int):
             raise
         return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
+def instance(value: object, what: str, *types: type) -> object:
+    """``value`` itself when it is an instance of one of ``types``; anything
+    else, an enum member's string value included, raises."""
+    if isinstance(value, types):
+        return value
+    names = " or ".join(t.__name__ for t in types)
+    article = "an" if names[0] in "AEIOU" else "a"
+    raise DomainError(f"{what} must be {article} {names}, got {shown(value, repr)}")
 
 
 def _outside(value: object, what: str, low: object, high: object, ends: str) -> DomainError:

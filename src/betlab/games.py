@@ -8,9 +8,9 @@ any opponent.  Everything exploitable here comes from an opponent
 deviating from the 50/50 mix, either statically (a biased or fixed
 chooser) or through patterns a context model can learn.
 
-The history-blind strategies (biased, fixed, alternating, best response
-to an announced mix) draw a match's whole choice column at once; only the
-order-k exploiter plays round by round.
+Every strategy begins a seat with ``begin(rng, player, n_rounds)``: a
+history-blind one (biased, fixed, alternating, best response) returns the
+match's whole choice column, and the order-k exploiter a round-by-round seat.
 
 Determinism: a match draws from per-player streams derived from
 ``(root_seed, player)``, so transcripts are bit-reproducible.
@@ -25,7 +25,8 @@ from typing import IO
 import numpy as np
 
 from . import render
-from .errors import MAX_LENGTH, DomainError, column, count, integer, probability, shown, within
+from .errors import (MAX_LENGTH, DomainError, column, count, instance, integer, probability,
+                     shown, within)
 from .seeding import stream
 
 H = "H"
@@ -80,11 +81,12 @@ class GameTranscript:
 class Strategy:
     """A matching-pennies player.
 
-    A history-blind strategy implements ``column(rng, player, n_rounds)``
-    and returns the match's whole choice array (dtype ``U1``) at once.  The
-    one adaptive strategy, :class:`FrequencyExploiter`, plays round by
-    round instead: its ``begin`` returns a new exploiter for one match,
-    whose ``choose``/``observe`` play it.
+    Every strategy implements ``begin(rng, player, n_rounds)``, which starts
+    one seat of a match on that seat's stream.  A history-blind strategy
+    returns the match's whole choice array (dtype ``U1``) at once.  The one
+    adaptive strategy, :class:`FrequencyExploiter`, plays round by round
+    instead: its ``begin`` returns a new exploiter for one match, whose
+    ``choose``/``observe`` play it.
     """
 
 
@@ -109,7 +111,7 @@ class Biased(Strategy):
     def __init__(self, p_h: float) -> None:
         self.p_h = probability(p_h, "p_h")
 
-    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         return np.where(rng.random(n_rounds) < self.p_h, H, T)
 
 
@@ -126,7 +128,7 @@ class Fixed(Strategy):
     def __init__(self, choice: str) -> None:
         self.choice = _choice(choice, "choice")
 
-    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         return np.full(n_rounds, self.choice, dtype="U1")
 
 
@@ -136,7 +138,7 @@ class Alternator(Strategy):
     def __init__(self, start: str = H) -> None:
         self.start = _choice(start, "start")
 
-    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         return np.resize(np.array([self.start, _OTHER[self.start]]), n_rounds)
 
 
@@ -153,9 +155,10 @@ class FrequencyExploiter(Strategy):
     def __init__(self, k: int = 2) -> None:
         self.k = integer(k, "context order", 1, 8)
 
-    def begin(self, rng: np.random.Generator, player: int) -> FrequencyExploiter:
+    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> FrequencyExploiter:
         """A new exploiter that plays one match from seat ``player``: it, not
-        this strategy, holds the match's context and table."""
+        this strategy, holds the match's context and table (any length, so
+        ``n_rounds`` is unused)."""
         seat = FrequencyExploiter(self.k)
         seat._reply, seat._rng, seat._context, seat._table = _replies(player), rng, (), {}
         return seat
@@ -183,11 +186,11 @@ class BestResponder(Strategy):
     def __init__(self, announced_p_h: float) -> None:
         self.announced_p_h = probability(announced_p_h, "announced p_h")
 
-    def column(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
         reply = _replies(player)
         if self.announced_p_h == 0.5:
-            return CoinFlip().column(rng, player, n_rounds)
-        return Fixed(reply[H if self.announced_p_h > 0.5 else T]).column(rng, player, n_rounds)
+            return CoinFlip().begin(rng, player, n_rounds)
+        return Fixed(reply[H if self.announced_p_h > 0.5 else T]).begin(rng, player, n_rounds)
 
 
 def _check_match(n_rounds: int, stake: float, rake: float) -> None:
@@ -196,17 +199,6 @@ def _check_match(n_rounds: int, stake: float, rake: float) -> None:
     within(rake, "rake", 0, math.inf, "[)")
     if not math.isfinite(n_rounds * (stake + rake)):
         raise DomainError(f"stake {stake} and rake {rake} over {shown(n_rounds)} rounds overflow")
-
-
-def _column(
-    strategy: Strategy, root_seed: int, player: int, n_rounds: int
-) -> np.ndarray | FrequencyExploiter:
-    """A blind seat's choices from its stream (root_seed, player); for the
-    exploiter, a new one begun on that stream."""
-    rng = stream(root_seed, player)
-    if isinstance(strategy, FrequencyExploiter):
-        return strategy.begin(rng, player)
-    return strategy.column(rng, player, n_rounds)
 
 
 def play_match(
@@ -225,7 +217,8 @@ def play_match(
     order of drawing changes no transcript.
     """
     _check_match(n_rounds, stake, rake)
-    seats = [_column(s, root_seed, i + 1, n_rounds) for i, s in enumerate((strategy1, strategy2))]
+    players = [instance(s, f"strategy{i}", Strategy) for i, s in ((1, strategy1), (2, strategy2))]
+    seats = [s.begin(stream(root_seed, i), i, n_rounds) for i, s in enumerate(players, 1)]
     adaptive = [i for i, seat in enumerate(seats) if isinstance(seat, FrequencyExploiter)]
     if adaptive:
         played = [[] if i in adaptive else seat.tolist() for i, seat in enumerate(seats)]
@@ -248,7 +241,7 @@ def spy_match(
     variance, whatever strategy 1 does.
     """
     _check_match(n_rounds, stake, 0.0)
-    c1 = _column(strategy1, root_seed, 1, n_rounds)
+    c1 = instance(strategy1, "strategy1", Strategy).begin(stream(root_seed, 1), 1, n_rounds)
     if isinstance(c1, FrequencyExploiter):
         played = []
         for _ in range(n_rounds):
@@ -280,7 +273,7 @@ def frequency_exploiter(
     player: int = 2,
 ) -> str:
     """Stateless form of the exploiter: next choice given opponent history."""
-    seat = FrequencyExploiter(k=k).begin(stream(0), player=player)
+    seat = FrequencyExploiter(k=k).begin(stream(0), player, 1)
     for choice in history:
         seat.observe(_choice(choice, "history entries"))
     return seat.choose()

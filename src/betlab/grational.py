@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .betmath import BetSpec
-from .errors import (BudgetError, DomainError, InfeasibleThreshold, column, count, fraction,
+from .errors import (BudgetError, InfeasibleThreshold, column, count, fraction, instance,
                      probability, root_seed, within)
 from .wealthsim import LossKind, outcome_matrix, outcome_size, path_losses
 
@@ -80,8 +80,7 @@ class GrationalProblem:
 
     def __post_init__(self) -> None:
         count(self.n_steps, "n_steps")
-        if not isinstance(self.loss_kind, LossKind):
-            raise DomainError(f"loss_kind must be a LossKind, got {self.loss_kind!r}")
+        instance(self.loss_kind, "loss_kind", LossKind)
         # NaN fails the range rule; a real threshold <= 0 is infeasible.
         if not within(self.loss_threshold, "loss threshold", -math.inf, math.inf) > 0.0:
             raise InfeasibleThreshold(

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_LENGTH, DomainError, NoClear, column, count, integer, shown, within
+from .errors import (MAX_LENGTH, DomainError, NoClear, column, count, instance, integer, shown,
+                     within)
 from .seeding import stream
 
 
@@ -121,8 +122,7 @@ def clearing_price(dist: OpinionDistribution, auction: AuctionSpec) -> float:
         else:
             price = dist.mean + dist.sd * float(ndtri(level))
         return max(price, 0.0) if dist.truncate else price
-    if not isinstance(dist, EmpiricalOpinions):
-        raise DomainError(f"dist must be a NormalOpinions or EmpiricalOpinions, got {dist!r}")
+    instance(dist, "dist", NormalOpinions, EmpiricalOpinions)
     return _kth_highest(dist, auction, auction.supply)
 
 
@@ -160,8 +160,7 @@ def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
     winner's-curse observation: repeating the sale immediately fetches
     a lower price.
     """
-    if not isinstance(dist, EmpiricalOpinions):
-        raise DomainError("re-auction is defined for empirical opinion samples")
+    instance(dist, "dist", EmpiricalOpinions)
     if 2 * auction.supply > auction.m_buyers:
         raise NoClear(
             f"re-auction needs {shown(2 * auction.supply)} willing buyers, "

@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Mapping
 
 from .betmath import BetSpec, kelly_fraction
-from .errors import DomainError, within
+from .errors import DomainError, instance, within
 
 LEVELS = frozenset({"--", "-", "=", "+", "++", "?", "NA"})
 
@@ -45,14 +45,14 @@ LEVELS = frozenset({"--", "-", "=", "+", "++", "?", "NA"})
 EXIT = "exit"
 
 
-class Phase(str, Enum):
+class Phase(Enum):
     EUREKA = "eureka"
     EARLY_COPYCAT = "early-copycat"
     LATE_COPYCAT = "late-copycat"
     CRASH = "crash"
 
 
-class TransitionKind(str, Enum):
+class TransitionKind(Enum):
     ADVANCE = "advance"
     BUBBLE = "bubble"
     FIZZLE = "fizzle"
@@ -147,8 +147,7 @@ def phase_table() -> dict[Phase, StateVars]:
 
 def legal_transitions(frm: Phase) -> frozenset[Transition]:
     """Outgoing arcs of the lifecycle graph from one phase."""
-    if not isinstance(frm, Phase):
-        raise DomainError(f"expected a Phase, got {frm!r}")
+    instance(frm, "frm", Phase)
     return frozenset(t for t in _TRANSITIONS if t.frm is frm)
 
 
@@ -173,8 +172,7 @@ def classify_phase(observed: StateVars) -> list[tuple[Phase, int]]:
     observed 'NA'.  Ties keep lifecycle order, so equal scores appear as
     adjacent entries with the same score.
     """
-    if not isinstance(observed, StateVars):
-        raise DomainError(f"expected a StateVars, got {observed!r}")
+    instance(observed, "observed", StateVars)
     scored = [(phase, _match_score(observed, PHASE_TABLE[phase])) for phase in Phase]
     return sorted(scored, key=lambda item: -item[1])
 
@@ -187,8 +185,7 @@ def kelly_multiplier(
     A custom schedule must keep the shape of the default one:
     Eureka = EarlyCopycat > LateCopycat > Crash, all within [0, 1].
     """
-    if not isinstance(phase, Phase):
-        raise DomainError(f"expected a Phase, got {phase!r}")
+    instance(phase, "phase", Phase)
     table = DEFAULT_MULTIPLIERS if schedule is None else schedule
     if set(table) != set(Phase):
         raise DomainError("schedule must cover exactly the four phases")

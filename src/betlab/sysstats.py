@@ -48,7 +48,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import render
-from .errors import DomainError, EmptySelection, column, within
+from .errors import DomainError, EmptySelection, column, instance, within
 from .tails import ndtr, t_pvalue
 from .wealthsim import LossKind, path_losses
 
@@ -187,8 +187,7 @@ def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
 
 def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     """Summary-table row for one filter; see module docstring for semantics."""
-    if not isinstance(which, Filter):
-        raise DomainError(f"which must be a Filter, got {which!r}")
+    instance(which, "which", Filter)
     side, universe = series.side, series.pnl
     if which is not Filter.ALL:
         keep = side == ("L" if which is Filter.LONG else "S")

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import (MAX_LENGTH, DomainError, column, count, fraction, integer, root_seed,
-                     shown, within)
+from .errors import (MAX_LENGTH, DomainError, column, count, fraction, instance, integer,
+                     root_seed, shown, within)
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -48,7 +48,7 @@ _OUTCOME_CELLS = ("0", "1")
 ADAPTIVE_F_MAX = 0.999
 
 
-class LossKind(str, Enum):
+class LossKind(Enum):
     WORST_LOSS = "worstloss"
     DRAWDOWN = "drawdown"
 
@@ -161,8 +161,7 @@ def path_losses(
     """
     if kind is LossKind.WORST_LOSS:
         return lw[..., 0] - lw.min(axis=-1)
-    if kind is not LossKind.DRAWDOWN:
-        raise DomainError(f"loss_kind must be a LossKind, got {kind!r}")
+    instance(kind, "loss_kind", LossKind)  # the one other member is DRAWDOWN
     peak = np.maximum.accumulate(lw, axis=-1, out=out)
     peak -= lw
     return peak.max(axis=-1)

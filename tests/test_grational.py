@@ -69,6 +69,31 @@ def exact_worst_loss_violation(bet, f, n, threshold):
     return 1.0 - alive.sum()
 
 
+def exact_drawdown_violation(bet, f, n, threshold):
+    """P[drawdown >= threshold] by dynamic programming over (running peak,
+    win count).
+
+    Log wealth after k wins in s steps is ``k*ab + s*b``, as in
+    :func:`exact_worst_loss_violation`, and the running peak is the largest
+    of those values so far.  Carry the surviving mass over the states one
+    step at a time, and kill each state whose drop from its peak,
+    ``peak - lw``, reaches the threshold.
+    """
+    b = math.log1p(-f)
+    ab = math.log1p(bet.d * f) - b
+    alive = {(0.0, 0): 1.0}
+    for s in range(1, n + 1):
+        after = {}
+        for (peak, k), mass in alive.items():
+            for wins, chance in ((k, 1 - bet.p), (k + 1, bet.p)):
+                lw = wins * ab + s * b
+                pk = max(peak, lw)
+                if pk - lw < threshold:
+                    after[pk, wins] = after.get((pk, wins), 0.0) + mass * chance
+        alive = after
+    return 1.0 - sum(alive.values())
+
+
 def brute_force_grid(problem, wins, fractions):
     """Score every grid fraction on the full log-wealth matrix."""
     n_paths, n_steps = wins.shape
@@ -206,6 +231,32 @@ class TestViolationProbability:
         for f in (0.05, 0.1, 0.2, 0.3, 0.5):
             exact = exact_worst_loss_violation(bet, f, n_steps, threshold)
             est = violation_probability(bet, f, n_steps, LossKind.WORST_LOSS, threshold, budget)
+            count = round(est.value * n_paths)
+            sd = math.sqrt(n_paths * exact * (1 - exact))
+            assert abs(count - n_paths * exact) <= 5 * sd + 1, (f, count, n_paths * exact)
+
+    @pytest.mark.parametrize("f,n,threshold", [(0.3, 9, 0.4), (0.5, 10, 1.0), (0.2, 12, 0.3)])
+    def test_drawdown_oracle_matches_enumeration(self, f, n, threshold):
+        exact = exact_drawdown_violation(BET, f, n, threshold)
+        enumerated = enumerated_violation(BET, f, n, LossKind.DRAWDOWN, threshold)
+        assert exact == pytest.approx(enumerated, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "p,d,n_steps,threshold,n_paths,seed",
+        [
+            (0.6, 1.0, 50, 0.5, 4000, 4),
+            (0.55, 2.0, 40, 0.8, 3000, 5),
+            (0.52, 1.0, 60, 0.3, 3000, 6),
+        ],
+    )
+    def test_drawdown_counts_are_binomial_around_the_exact_value(
+        self, p, d, n_steps, threshold, n_paths, seed
+    ):
+        bet = BetSpec(p, d)
+        budget = McBudget(n_paths, seed)
+        for f in (0.05, 0.1, 0.2, 0.3, 0.5):
+            exact = exact_drawdown_violation(bet, f, n_steps, threshold)
+            est = violation_probability(bet, f, n_steps, LossKind.DRAWDOWN, threshold, budget)
             count = round(est.value * n_paths)
             sd = math.sqrt(n_paths * exact * (1 - exact))
             assert abs(count - n_paths * exact) <= 5 * sd + 1, (f, count, n_paths * exact)

@@ -1,5 +1,6 @@
 """Counts, probabilities, betting fractions, seeds, seats, other real
-arguments and arrays at every public entry point.
+arguments, arrays, and enum, record and strategy arguments at every public
+entry point.
 
 Each entry point that takes one of these hands it to a rule in
 ``betlab.errors``.  A bad value -- NaN, an infinity, a bool, a string,
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betlab import errors, grational
+from betlab import errors, games, grational
 from betlab.betmath import (
     BetSpec,
     GrowthCurve,
@@ -59,10 +60,18 @@ from betlab.millerclear import (
     AuctionSpec,
     EmpiricalOpinions,
     NormalOpinions,
+    clearing_price,
+    reauction_price,
     sample_normal_opinions,
     short_selling_effect,
 )
-from betlab.popp import DEFAULT_MULTIPLIERS, Phase, kelly_multiplier
+from betlab.popp import (
+    DEFAULT_MULTIPLIERS,
+    Phase,
+    classify_phase,
+    kelly_multiplier,
+    legal_transitions,
+)
 from betlab.seeding import stream
 from betlab.sysstats import (
     Filter,
@@ -77,6 +86,7 @@ from betlab.wealthsim import (
     WealthPath,
     adaptive_policy_growth,
     outcome_matrix,
+    path_losses,
     ruin_probability_all_in,
 )
 
@@ -165,10 +175,67 @@ SEED_SITES = {
 # The seat a strategy plays from: 1 or 2.
 SEAT_SITES = {
     "frequency_exploiter.player": lambda v: frequency_exploiter(["H"] * 5, k=1, player=v),
-    "FrequencyExploiter.begin.player": lambda v: FrequencyExploiter().begin(stream(1), v),
-    "BestResponder.column.player": lambda v: BestResponder(0.5).column(stream(1), v, 3),
+    "FrequencyExploiter.begin.player": lambda v: FrequencyExploiter().begin(stream(1), v, 3),
+    "BestResponder.begin.player": lambda v: BestResponder(0.5).begin(stream(1), v, 3),
 }
 SERIES = TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5])
+
+
+def values(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
+# Enum, record and strategy arguments checked by ``errors.instance``: the
+# site, the start of its message, and the values it refuses besides None
+# and a string: for an enum, each member's string value.
+TYPE_SITES = {
+    "GrationalProblem.loss_kind": (
+        lambda v: GrationalProblem(BET, 10, v, 0.5, 0.1),
+        "loss_kind must be a LossKind",
+        values(LossKind),
+    ),
+    "violation_probability.loss_kind": (
+        lambda v: violation_probability(BET, 0.1, 10, v, 0.5, BUDGET),
+        "loss_kind must be a LossKind",
+        values(LossKind),
+    ),
+    "path_losses.kind": (
+        lambda v: path_losses(np.array([0.0, 1.0]), v),
+        "loss_kind must be a LossKind",
+        values(LossKind),
+    ),
+    "clearing_price.dist": (
+        lambda v: clearing_price(v, AuctionSpec(1, 3)),
+        "dist must be a NormalOpinions or EmpiricalOpinions",
+        [[50.0, 60.0, 70.0]],
+    ),
+    "reauction_price.dist": (
+        lambda v: reauction_price(v, AuctionSpec(1, 3)),
+        "dist must be an EmpiricalOpinions",
+        [NormalOpinions(50.0, 10.0)],
+    ),
+    "legal_transitions.frm": (legal_transitions, "frm must be a Phase", values(Phase)),
+    "classify_phase.observed": (
+        classify_phase, "observed must be a StateVars", [("++", "+", "+", "-", "-", "-", "+")]
+    ),
+    "kelly_multiplier.phase": (kelly_multiplier, "phase must be a Phase", values(Phase)),
+    "summarize.which": (lambda v: summarize(SERIES, v), "which must be a Filter", values(Filter)),
+    # A strategy's class is not a strategy.
+    "play_match.strategy1": (
+        lambda v: play_match(v, CoinFlip(), 3, 1), "strategy1 must be a Strategy", [Biased]
+    ),
+    "play_match.strategy2": (
+        lambda v: play_match(CoinFlip(), v, 3, 1), "strategy2 must be a Strategy", [Biased]
+    ),
+    "spy_match.strategy1": (
+        lambda v: spy_match(v, 3, 1), "strategy1 must be a Strategy", [Biased]
+    ),
+}
+TYPE_CASES = [
+    (name, value)
+    for name, (_, _, others) in TYPE_SITES.items()
+    for value in [None, "x", *others]
+]
 INF = math.inf
 # Real arguments checked by ``errors.within``: the site, then the interval's
 # ends and whether each is closed ``[ ]`` or open ``( )``.  Every end at
@@ -227,7 +294,7 @@ INTEGER_SITES = {
     "frequency_exploiter.player": (
         lambda v: frequency_exploiter(["H"] * 5, k=1, player=v), 1, 2
     ),
-    "BestResponder.column.player": (lambda v: BestResponder(0.5).column(stream(1), v, 3), 1, 2),
+    "BestResponder.begin.player": (lambda v: BestResponder(0.5).begin(stream(1), v, 3), 1, 2),
     "FrequencyExploiter.k": (lambda v: FrequencyExploiter(v), 1, 8),
     "play_match.n_rounds": (
         lambda v: play_match(CoinFlip(), CoinFlip(), v, 1, stake=1e300), 1, MAX
@@ -345,6 +412,18 @@ def test_seats(name, value):
 @pytest.mark.parametrize("seat", [1, 2, np.int64(2)])
 def test_good_seats(name, seat):
     SEAT_SITES[name](seat)
+
+
+@pytest.mark.parametrize("name, value", TYPE_CASES)
+def test_types(name, value, monkeypatch):
+    # Each was once refused in its own words, or not at all: a strategy
+    # that is not one raised AttributeError after its stream was built.
+    streams = []
+    monkeypatch.setattr(games, "stream", lambda *key: streams.append(key))
+    site, start, _ = TYPE_SITES[name]
+    with pytest.raises(DomainError, match=f"^{re.escape(start)}, got {re.escape(repr(value))}$"):
+        site(value)
+    assert streams == []
 
 
 @SETTINGS
@@ -689,6 +768,13 @@ class TestRules:
                 (np.array([1.0]), "id", int),
                 "id must be a 1-d sequence of at least one integer entry, got 1.0 at index 0",
             ),
+            # Last, so that the rows above keep their ids.
+            ("instance", ("crash", "phase", Phase), "phase must be a Phase, got 'crash'"),
+            (
+                "instance",
+                (None, "dist", EmpiricalOpinions, NormalOpinions),
+                "dist must be an EmpiricalOpinions or NormalOpinions, got None",
+            ),
         ],
     )
     def test_message(self, rule, args, message):
@@ -702,6 +788,11 @@ class TestRules:
         assert type(errors.probability(np.float32(0.5), "p")) is float
         assert errors.fraction(0) == 0.0
         assert type(errors.real(np.int64(-3), "x")) is float
+
+    def test_instance_returns_the_value(self):
+        series = TradeSeries([1], ["L"], [1.0])
+        assert errors.instance(series, "series", TradeSeries) is series
+        assert errors.instance(Filter.ALL, "which", Phase, Filter) is Filter.ALL
 
     def test_column_is_a_new_read_only_array(self):
         given = np.arange(3.0)

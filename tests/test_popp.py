@@ -5,6 +5,7 @@ import pytest
 from betlab.betmath import BetSpec, kelly_fraction
 from betlab.errors import DomainError
 from betlab.popp import (
+    DEFAULT_MULTIPLIERS,
     EXIT,
     Phase,
     StateVars,
@@ -213,10 +214,23 @@ class TestSizing:
     @pytest.mark.parametrize("phase", ["bogus", "late-copycat", None])
     def test_rejects_non_phase(self, phase):
         # "bogus" once raised KeyError; a member's string value was looked up.
-        with pytest.raises(DomainError, match=f"^expected a Phase, got {phase!r}$"):
+        with pytest.raises(DomainError, match=f"^phase must be a Phase, got {phase!r}$"):
             kelly_multiplier(phase)
-        with pytest.raises(DomainError, match="expected a Phase"):
+        with pytest.raises(DomainError, match="phase must be a Phase"):
             scaled_fraction(phase, BetSpec(0.6, 1.0))
+
+    def test_rejects_a_schedule_keyed_by_strings(self):
+        # The phases' string values once stood for the members as keys.
+        schedule = {p.value: m for p, m in DEFAULT_MULTIPLIERS.items()}
+        with pytest.raises(DomainError, match="^schedule must cover exactly the four phases$"):
+            kelly_multiplier(Phase.LATE_COPYCAT, schedule)
+        with pytest.raises(DomainError, match="^schedule must cover exactly the four phases$"):
+            kelly_multiplier(Phase.EUREKA, {**DEFAULT_MULTIPLIERS, "crash": 0.0})
+
+    @pytest.mark.parametrize("enum", [Phase, TransitionKind])
+    def test_members_are_not_their_values(self, enum):
+        for member in enum:
+            assert member != member.value and member.value not in set(enum)
 
     def test_rejects_partial_coverage(self):
         with pytest.raises(DomainError):
