@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, NoPositiveRoot, column, fraction, probability, within
+from .errors import (DomainError, NoPositiveRoot, column, fraction, instance, probability,
+                     within)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,6 +79,7 @@ class GrowthCurve:
 
 def kelly_fraction(bet: BetSpec) -> float:
     """Growth-optimal betting fraction ``max(p - q/d, 0)``."""
+    instance(bet, "bet", BetSpec)
     return max(bet.p - bet.q / bet.d, 0.0)
 
 

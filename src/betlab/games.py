@@ -10,7 +10,9 @@ chooser) or through patterns a context model can learn.
 
 Every strategy begins a seat with ``begin(rng, player, n_rounds)``: a
 history-blind one (biased, fixed, alternating, best response) returns the
-match's whole choice column, and the order-k exploiter a round-by-round seat.
+match's whole choice column, and the order-k exploiter a seat.  Against a
+history-blind seat the exploiter's seat computes its whole column at once;
+only two exploiters, or an exploiter against the spy, play round by round.
 
 Determinism: a match draws from per-player streams derived from
 ``(root_seed, player)``, so transcripts are bit-reproducible.
@@ -84,9 +86,10 @@ class Strategy:
     Every strategy implements ``begin(rng, player, n_rounds)``, which starts
     one seat of a match on that seat's stream.  A history-blind strategy
     returns the match's whole choice array (dtype ``U1``) at once.  The one
-    adaptive strategy, :class:`FrequencyExploiter`, plays round by round
-    instead: its ``begin`` returns a new exploiter for one match, whose
-    ``choose``/``observe`` play it.
+    adaptive strategy, :class:`FrequencyExploiter`, returns a new exploiter
+    for one match instead.  Against a history-blind seat, its ``against``
+    gives its whole column at once; against a second exploiter, or in
+    ``spy_match``, its ``choose``/``observe`` play round by round.
     """
 
 
@@ -174,6 +177,33 @@ class FrequencyExploiter(Strategy):
             self._table.setdefault(self._context, [0, 0])[0 if opp == H else 1] += 1
         self._context = (*self._context, opp)[-self.k:]
 
+    def against(self, opponent: np.ndarray) -> np.ndarray:
+        """This seat's whole choice column against a history-blind opponent's
+        column, the same as ``choose``/``observe`` give round by round.
+
+        Round r >= k is coded by its context, the opponent's k previous
+        choices.  A stable sort by context puts each context's rounds
+        together in round order, so a round's lead of H over T in its
+        context is an exclusive cumulative sum within its group.  A round
+        without a lead (every round r < k, and every unseen or tied context)
+        takes a coin; the coins are one draw, in round order.
+        """
+        k, heads = self.k, opponent == H
+        context = np.zeros(max(heads.size - k, 0), dtype=np.uint8)  # k <= 8 bits
+        for j in range(k):
+            context = (context << 1) | heads[j:j + context.size]
+        order = np.argsort(context, kind="stable")
+        step = np.where(heads[k:][order], 1, -1)
+        lead = np.cumsum(step) - step  # over the rounds before, in sorted order
+        ordered = context[order]
+        lead -= lead[np.searchsorted(ordered, ordered)]  # less the lead before the group
+        leads = np.zeros(heads.size, dtype=lead.dtype)
+        leads[k:][order] = lead
+        choices = np.where(leads > 0, self._reply[H], self._reply[T])
+        coin = leads == 0
+        choices[coin] = np.where(self._rng.random(np.count_nonzero(coin)) < 0.5, H, T)
+        return choices
+
 
 class BestResponder(Strategy):
     """Best response to a disclosed i.i.d. H-probability.
@@ -211,24 +241,27 @@ def play_match(
 ) -> GameTranscript:
     """Run a match; player i draws from the stream keyed (root_seed, i).
 
-    Each history-blind seat draws its whole column first; only exploiter
-    seats then play round by round.  Every seat draws from its own stream,
-    and ``rng.random(n)`` gives the same doubles as n scalar draws, so the
-    order of drawing changes no transcript.
+    Each history-blind seat draws its whole column first.  One exploiter
+    seat then computes its whole column against it; only two exploiters
+    play round by round.  Every seat draws from its own stream, and
+    ``rng.random(n)`` gives the same doubles as n scalar draws, so the order
+    of drawing changes no transcript.
     """
     _check_match(n_rounds, stake, rake)
     players = [instance(s, f"strategy{i}", Strategy) for i, s in ((1, strategy1), (2, strategy2))]
     seats = [s.begin(stream(root_seed, i), i, n_rounds) for i, s in enumerate(players, 1)]
-    adaptive = [i for i, seat in enumerate(seats) if isinstance(seat, FrequencyExploiter)]
-    if adaptive:
-        played = [[] if i in adaptive else seat.tolist() for i, seat in enumerate(seats)]
+    adaptive = [isinstance(seat, FrequencyExploiter) for seat in seats]
+    if all(adaptive):  # each seat's context holds the other's choices
+        played = [[], []]
         for r in range(n_rounds):
-            for i in adaptive:
-                played[i].append(seats[i].choose())
-            for i in adaptive:
-                seats[i].observe(played[1 - i][r])
-        for i in adaptive:
-            seats[i] = np.array(played[i], dtype="U1")
+            for seat, mine in zip(seats, played):
+                mine.append(seat.choose())
+            for seat, theirs in zip(seats, played[::-1]):
+                seat.observe(theirs[r])
+        seats = [np.array(choices, dtype="U1") for choices in played]
+    elif any(adaptive):
+        i = adaptive.index(True)
+        seats[i] = seats[i].against(seats[1 - i])
     return GameTranscript(seats[0], seats[1], stake, rake)
 
 

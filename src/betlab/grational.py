@@ -79,6 +79,7 @@ class GrationalProblem:
     max_prob: float
 
     def __post_init__(self) -> None:
+        instance(self.bet, "bet", BetSpec)
         count(self.n_steps, "n_steps")
         instance(self.loss_kind, "loss_kind", LossKind)
         # NaN fails the range rule; a real threshold <= 0 is infeasible.
@@ -237,6 +238,8 @@ def solve(
     incurs zero loss, so with a positive threshold the feasible set is
     never empty.
     """
+    instance(problem, "problem", GrationalProblem)
+    instance(budget, "budget", McBudget)
     within(grid_step, "grid_step", _MIN_GRID_STEP, 0.1)
     fraction(f_max, "f_max")
     if budget.n_paths < _MIN_PATHS:
@@ -300,6 +303,7 @@ def violation_probability(
         max_prob=1.0,
     )
     fraction(f)
+    instance(budget, "budget", McBudget)
     blocks = _win_blocks(bet, n_steps, budget)
     grid = _grid_stats(problem, blocks, np.asarray([f], dtype=float))
     return McEstimate(float(grid.p_violation[0]), float(grid.se_violation[0]))

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import itemgetter
@@ -58,6 +59,18 @@ _EXACT_RUNS_MAX_N = 30
 
 # Side letters: long, short, flat.
 _SIDES = ("L", "S", "F")
+
+# The trades header, and the columns numpy's text loader reads: a side is
+# read _SIDE_WIDTH wide, so that a padded side fits, and a cell that fills
+# the width, which may have been cut, is refused.
+_HEADER = ["period_id", "side", "pnl"]
+_SIDE_WIDTH = 8
+_LOADED = np.dtype([("period_id", np.int64), ("side", f"U{_SIDE_WIDTH}"), ("pnl", np.float64)])
+# Characters the loader reads otherwise than ``csv`` and Python's int and
+# float: a quote (csv's quoting), a NUL (numpy drops a side's trailing
+# NULs) and the separators 0x1c-0x1f (numpy strips them from a number).
+# Outside ASCII, numpy's integer parser misreads digits.
+_NOT_PLAIN = '"\x00\x1c\x1d\x1e\x1f'
 
 # ``ppgs_classify`` takes scipy's t-test p-value in place of the pure-Python
 # one when that lies within this relative distance of alpha.  The tests hold
@@ -187,6 +200,7 @@ def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
 
 def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
     """Summary-table row for one filter; see module docstring for semantics."""
+    instance(series, "series", TradeSeries)
     instance(which, "which", Filter)
     side, universe = series.side, series.pnl
     if which is not Filter.ALL:
@@ -268,6 +282,7 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     (constant) mean.  The p-value is ``tails.t_pvalue``'s, or scipy's
     within ``_P_SLACK`` of ``alpha``, so the label is what scipy's gives.
     """
+    instance(series, "series", TradeSeries)
     within(alpha, "alpha", 0, 1, "()")
     pnl = series.pnl[series.side != "F"]
     if pnl.size < 30:
@@ -303,21 +318,49 @@ def _row_error(line: int, row: list[str]) -> str | None:
     return None
 
 
-def read_trades_csv(fh: IO[str]) -> TradeSeries:
-    """Parse the trades schema: header period_id,side,pnl; side in {L,S,F}.
+def _loaded(lines: list[str]) -> TradeSeries | None:
+    """The record read by numpy's C text loader, or None when it is not
+    plain cells.  Plain cells are ASCII without the characters of
+    ``_NOT_PLAIN``, no line is past ``csv``'s field limit, ids fit int64,
+    sides are narrower than ``_SIDE_WIDTH`` and, stripped and upper-cased,
+    L, S or F, and the columns pass ``TradeSeries``.  A warning while numpy
+    reads (a table without rows, or a cell read leniently) refuses the file."""
+    text = "".join(lines)
+    if (not text.isascii() or any(c in text for c in _NOT_PLAIN)
+            or max(map(len, lines), default=0) > csv.field_size_limit()):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, _LOADED, delimiter=",", comments=None,
+                               usecols=(0, 1, 2), ndmin=1)
+    except (ValueError, Warning):  # a cell numpy refuses or reads leniently
+        return None
+    if np.char.str_len(table["side"]).max() == _SIDE_WIDTH:  # a cell may be cut
+        return None
+    side = np.char.strip(table["side"])
+    lower = ~np.isin(side, _SIDES)  # only these are upper-cased: np.char.upper is slow
+    side[lower] = np.char.upper(side[lower])
+    if not np.isin(side, _SIDES).all():
+        return None
+    try:
+        return TradeSeries(table["period_id"], side.astype("U1"), table["pnl"])
+    except ValueError:  # a record TradeSeries refuses
+        return None
 
-    Sides may be lower case and padded, cells after the third are
-    ignored, and blank lines are skipped.  Each column is converted in
-    one pass and checked by ``TradeSeries``.  Only when that fails are
-    the rows scanned, so that the error names the first bad row by its
-    line number, blank lines not counted.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    expected = ["period_id", "side", "pnl"]
-    if header is None or [c.strip() for c in header] != expected:
-        raise DomainError(f"expected header {','.join(expected)}, got {header}")
-    rows = list(filter(None, reader))  # a blank line reads as []
+
+def _read_rows(lines: list[str]) -> TradeSeries:
+    """The record read row by row by ``csv``: each column is converted in
+    one pass and checked by ``TradeSeries``.  Only when that fails are the
+    rows scanned, so that the error names the first bad row.  ``lines`` is
+    emptied once split into rows, so that a large file's lines and rows
+    are not both held while the columns are built."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(filter(None, csv.reader(lines)))  # a blank line reads as []
+    except csv.Error as exc:  # such as a cell past csv.field_size_limit()
+        raise DomainError(f"line {len(rows) + 2}: {exc}") from None
+    lines.clear()
     if not rows:
         raise DomainError("no data rows in trades CSV")
     try:
@@ -332,6 +375,27 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
             if message is not None:
                 raise DomainError(message) from None
         raise
+
+
+def read_trades_csv(fh: IO[str]) -> TradeSeries:
+    """Parse the trades schema: header period_id,side,pnl; side in {L,S,F}.
+
+    Sides may be lower case and padded, cells may be quoted, cells after
+    the third are ignored, and blank lines are skipped.  The header is
+    read by ``csv``, the data lines as ``fh`` splits them.  A record of
+    plain cells (see ``_loaded``) is read by numpy's text loader; any
+    other, a bad one included, row by row by ``csv``.  An error in a row
+    names it by its line number, blank lines not counted.
+    """
+    try:
+        header = next(csv.reader(fh), None)
+    except csv.Error as exc:
+        raise DomainError(f"line 1: {exc}") from None
+    if header is None or [c.strip() for c in header] != _HEADER:
+        raise DomainError(f"expected header {','.join(_HEADER)}, got {header}")
+    lines = fh.readlines()
+    series = _loaded(lines)
+    return _read_rows(lines) if series is None else series
 
 
 def display_fields(row: SummaryRow) -> dict[str, float | int | None]:

@@ -65,6 +65,7 @@ class SimConfig:
     w0: float = 1.0
 
     def __post_init__(self) -> None:
+        instance(self.bet, "bet", BetSpec)
         fraction(self.f)
         count(self.n_steps, "n_steps")
         count(self.n_paths, "n_paths")
@@ -141,6 +142,7 @@ def simulate_paths(config: SimConfig) -> list[WealthPath]:
     Deterministic: identical configs give bit-identical paths, and path
     ``k`` never changes when ``n_paths`` grows.
     """
+    instance(config, "config", SimConfig)
     wins = outcome_matrix(config.bet, config.n_steps, config.n_paths, config.root_seed)
     inc = log_increments(config.bet, config.f, wins)
     lw0 = math.log(config.w0)
@@ -182,6 +184,7 @@ def drawdown(path: WealthPath) -> float:
 
 def path_stats(path: WealthPath) -> PathStats:
     """Summarize one path; ``ruined`` means wealth fell below ``DEFAULT_RUIN_FLOOR * W_0``."""
+    instance(path, "path", WealthPath)
     if path.n_steps < 1:
         raise DomainError("growth rate needs at least one step")
     lw = path.log_wealth

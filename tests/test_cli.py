@@ -401,6 +401,23 @@ class TestStats:
             "", "error: average gain per year overflows over 1e-320 years\n"
         )
 
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_line_ends_read_as_newlines(self, capsys, trades_csv, tmp_path, end):
+        # The file is opened with newline="", so csv and numpy split it alike.
+        argv = ["stats", "--ppgs-alpha", "0.05", "--format", "json"]
+        want = out_of(capsys, [*argv, "--input", trades_csv])
+        path = tmp_path / "ends.csv"
+        path.write_bytes(TRADES.replace("\n", end).encode())
+        assert out_of(capsys, [*argv, "--input", str(path)]) == want
+
+    def test_cell_past_the_field_limit_is_one_error_line(self, capsys, tmp_path):
+        # csv's field limit once escaped as a traceback.
+        path = tmp_path / "long.csv"
+        path.write_text("period_id,side,pnl\n1,L,1\n2,S," + "1" * 200_000 + "\n")
+        assert run(["stats", "--input", str(path)]) == 1
+        message = "error: line 3: field larger than field limit (131072)\n"
+        assert capsys.readouterr() == ("", message)
+
 
 class TestPennies:
     def test_spy_payload(self, capsys):

@@ -279,6 +279,53 @@ class TestOracle:
         assert keys == [(3, 1)]
 
 
+BLIND_SPECS = [spec for spec in SPECS if not spec.startswith("exploiter")]
+
+
+class TestExploiterColumn:
+    """Against a history-blind seat, the exploiter's whole column at once is
+    its round-by-round play."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        blind=st.sampled_from(BLIND_SPECS) | st.floats(0.0, 1.0).map(lambda p: f"biased:{p!r}"),
+        seat=st.sampled_from([1, 2]),
+        n_rounds=st.integers(1, 12) | st.integers(1, 3000),
+        root_seed=st.integers(0, 2**64 - 1),
+    )
+    @example(k=8, blind="biased:0.6", seat=2, n_rounds=8, root_seed=0)  # every round a coin
+    @example(k=3, blind="fixed:H", seat=1, n_rounds=3000, root_seed=5)  # one context
+    def test_column_is_the_round_loop(self, k, blind, seat, n_rounds, root_seed):
+        other = 3 - seat
+        opponent = parse_strategy(blind).begin(stream(root_seed, other), other, n_rounds)
+        rounds = FrequencyExploiter(k).begin(stream(root_seed, seat), seat, n_rounds)
+        want = []
+        for opp in opponent.tolist():
+            want.append(rounds.choose())
+            rounds.observe(opp)
+        column = FrequencyExploiter(k).begin(stream(root_seed, seat), seat, n_rounds).against(
+            opponent
+        )
+        assert column.dtype == np.dtype("U1") and column.tolist() == want
+        players = [parse_strategy(blind)] * 2
+        players[seat - 1] = FrequencyExploiter(k)
+        transcript = play_match(*players, n_rounds, root_seed)
+        assert (transcript.choices1, transcript.choices2)[seat - 1].tolist() == want
+
+    @pytest.mark.parametrize("spec", BLIND_SPECS)
+    def test_no_round_is_played_one_by_one(self, monkeypatch, spec):
+        def refuse(self, *args):
+            raise AssertionError("round by round")
+
+        monkeypatch.setattr(FrequencyExploiter, "choose", refuse)
+        monkeypatch.setattr(FrequencyExploiter, "observe", refuse)
+        play_match(parse_strategy(spec), FrequencyExploiter(2), 50, 1)
+        play_match(FrequencyExploiter(8), parse_strategy(spec), 50, 1)
+        with pytest.raises(AssertionError, match="round by round"):
+            play_match(FrequencyExploiter(2), FrequencyExploiter(2), 50, 1)
+
+
 class TestResponderGain:
     def test_published_number(self):
         gain = responder_expected_gain(0.6, 0.6, 100, 200.0)

@@ -30,6 +30,7 @@ from betlab.betmath import (
     fractional_kelly,
     growth_curve,
     growth_derivative,
+    kelly_fraction,
     mixed_sequence_fractions,
     stochastic_p_fraction,
 )
@@ -87,7 +88,9 @@ from betlab.wealthsim import (
     adaptive_policy_growth,
     outcome_matrix,
     path_losses,
+    path_stats,
     ruin_probability_all_in,
+    simulate_paths,
 )
 
 BET = BetSpec(0.6, 1.0)
@@ -229,6 +232,28 @@ TYPE_SITES = {
     ),
     "spy_match.strategy1": (
         lambda v: spy_match(v, 3, 1), "strategy1 must be a Strategy", [Biased]
+    ),
+    # Records, where each is first read: their fields as a tuple, or another
+    # record, are not one.
+    "GrationalProblem.bet": (
+        lambda v: GrationalProblem(v, 10, DD, 0.5, 0.1), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "SimConfig.bet": (lambda v: SimConfig(v, 0.1, 2, 2, 1), "bet must be a BetSpec", [(0.6, 1.0)]),
+    "kelly_fraction.bet": (kelly_fraction, "bet must be a BetSpec", [(0.6, 1.0)]),
+    "solve.problem": (lambda v: solve(v, BUDGET), "problem must be a GrationalProblem", [BET]),
+    "solve.budget": (lambda v: solve(problem(), v), "budget must be a McBudget", [(1000, 1)]),
+    "violation_probability.budget": (
+        lambda v: violation_probability(BET, 0.1, 10, DD, 0.5, v),
+        "budget must be a McBudget",
+        [(1000, 1)],
+    ),
+    "simulate_paths.config": (simulate_paths, "config must be a SimConfig", [BET]),
+    "path_stats.path": (path_stats, "path must be a WealthPath", [np.zeros(3)]),
+    "summarize.series": (
+        lambda v: summarize(v, Filter.ALL), "series must be a TradeSeries", [BET]
+    ),
+    "ppgs_classify.series": (
+        lambda v: ppgs_classify(v, 0.05), "series must be a TradeSeries", [BET]
     ),
 }
 TYPE_CASES = [

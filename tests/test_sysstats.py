@@ -560,3 +560,152 @@ def test_float_cell_is_the_template_spec(x):
     # The long tables' templates format floats by render.FLOAT; a cell is
     # the same text, and both equal the str.format spec the tables used.
     assert render.FLOAT % x == render.cell(x) == "{:.12g}".format(x)
+
+
+HEAD = "period_id,side,pnl"
+BIG = 2**63  # one past the largest int64 id
+LONG_DIGITS = "1" * 200_000  # a cell past csv's default field limit of 131072
+# Trades files that numpy's text loader refuses, must not read, or reads
+# only after a look at every cell, with the columns or the message that the
+# row reader gives them: the file's text (as written, line ends included),
+# then (ids, sides, pnls) or the DomainError's message.  A float id is read
+# by numpy 1.x as an int with only a DeprecationWarning, which refuses it.
+READER_CASES = {
+    "crlf": (f"{HEAD}\r\n1,L,1.5\r\n2,S,-2\r\n", ([1, 2], ["L", "S"], [1.5, -2.0])),
+    "bare-cr": (f"{HEAD}\r1,L,1.5\r2,S,-2\r", ([1, 2], ["L", "S"], [1.5, -2.0])),
+    "comment-line": (f"{HEAD}\n1,L,1\n# note\n2,S,1\n",
+                     "line 3: side must be one of L,S,F, got None"),
+    "whitespace-line": (f"{HEAD}\n1,L,1\n  \t\n2,S,1\n",
+                        "line 3: side must be one of L,S,F, got None"),
+    "quoted-cells": (f'{HEAD}\n"1",L,"1.5"\n2,"S",-2\n', ([1, 2], ["L", "S"], [1.5, -2.0])),
+    "quoted-extra-cell-over-two-lines": (f'{HEAD}\n1,L,5,"a\n2,S,3,"\n',
+                                         ([1], ["L"], [5.0])),
+    "underscore-digits": (f"{HEAD}\n1_0,L,1_5\n", ([10], ["L"], [15.0])),
+    "float-id": (f"{HEAD}\n1.5,L,1\n2,S,1\n",
+                 "line 2: invalid literal for int() with base 10: '1.5'"),
+    "whole-float-id": (f"{HEAD}\n1,L,1\n2.0,S,1\n",
+                       "line 3: invalid literal for int() with base 10: '2.0'"),
+    "exponent-id": (f"{HEAD}\n1e3,L,1\n", "line 2: invalid literal for int() with base 10: '1e3'"),
+    "unicode-digits": (f"{HEAD}\n١,L,٢.5\n", ([1], ["L"], [2.5])),
+    "non-ascii-after-a-digit": (f"{HEAD}\n1\U00010134,L,1\n",
+                                "line 2: invalid literal for int() with base 10: '1\\U00010134'"),
+    "file-separator": (f"{HEAD}\n\x1c1,L,1\n",
+                       "line 2: invalid literal for int() with base 10: '\\x1c1'"),
+    "ids-past-int64": (f"{HEAD}\n{BIG},L,1\n{BIG + 1},S,2\n",
+                       ([BIG, BIG + 1], ["L", "S"], [1.0, 2.0])),
+    "negative-id-past-int64": (f"{HEAD}\n{-BIG - 1},L,1\n0,S,2\n",
+                               ([-BIG - 1, 0], ["L", "S"], [1.0, 2.0])),
+    "padded-and-lower-case-sides": (f"{HEAD}\n1, l ,1\n2,s\t,2\n3,F ,0\n",
+                                    ([1, 2, 3], ["L", "S", "F"], [1.0, 2.0, 0.0])),
+    "padded-to-the-loader-width": (f"{HEAD}\n1,   l    ,1\n2, \x0bS\x0c ,2\n",
+                                   ([1, 2], ["L", "S"], [1.0, 2.0])),
+    "two-letter-side": (f"{HEAD}\n1,LS,1\n", "line 2: side must be one of L,S,F, got 'LS'"),
+    "side-past-the-loader-width": (f"{HEAD}\n1,L       x,1\n",
+                                   "line 2: side must be one of L,S,F, got 'L       x'"),
+    "extra-cells": (f"{HEAD}\n1,L,1,note,x\n2,S,2,\n", ([1, 2], ["L", "S"], [1.0, 2.0])),
+    "nan": (f"{HEAD}\n1,L,nan\n", "line 2: pnl must be finite, got 'nan'"),
+    "inf": (f"{HEAD}\n1,L,1\n2,S,inf\n", "line 3: pnl must be finite, got 'inf'"),
+    "overflow": (f"{HEAD}\n1,L,1e400\n", "line 2: pnl must be finite, got '1e400'"),
+    "header-only": (f"{HEAD}\n", "no data rows in trades CSV"),
+    "header-and-blank-lines": (f"{HEAD}\r\n\r\n\n", "no data rows in trades CSV"),
+    # numpy's unicode arrays drop trailing NULs, so the row reader's side
+    # column reads "L\0" as "L", while a NUL before a letter stays.
+    "side-with-a-trailing-nul": (f"{HEAD}\n1,L\x00,1\n", ([1], ["L"], [1.0])),
+    "side-with-a-nul-before-a-letter": (f"{HEAD}\n1,L\x00x,1\n",
+                                        "line 2: side must be one of L,S,F, got 'L\\x00x'"),
+    "cell-past-the-field-limit": (f"{HEAD}\n1,L,1\n\n2,S,{LONG_DIGITS}\n",
+                                  "line 3: field larger than field limit (131072)"),
+    "finite-cell-past-the-field-limit": (f"{HEAD}\n1,L,0.{'0' * 200_000}1\n",
+                                         "line 2: field larger than field limit (131072)"),
+    "header-past-the-field-limit": (f"{HEAD},{LONG_DIGITS}\n1,L,1\n",
+                                    "line 1: field larger than field limit (131072)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_reader_case(name, tmp_path):
+    # Read as the CLI opens a file: UTF-8, line ends split but kept.
+    text, want = READER_CASES[name]
+    path = tmp_path / "trades.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="", encoding="utf-8") as fh:
+        if isinstance(want, str):
+            with pytest.raises(DomainError) as got:
+                read_trades_csv(fh)
+            assert str(got.value) == want
+            return
+        series = read_trades_csv(fh)
+    assert (series.period_id.tolist(), series.side.tolist(), series.pnl.tolist()) == want
+
+
+def test_plain_record_takes_the_loader(monkeypatch):
+    def rows(lines):
+        raise AssertionError("row reader")
+
+    monkeypatch.setattr(sysstats, "_read_rows", rows)
+    text = f"{HEAD}\n1,L,1.5\n\n 2 ,s\t, -2e-3\r\n3, F ,-0.0\n{BIG - 1},l,0,note\n"
+    series = read_trades_csv(io.StringIO(text, newline=""))
+    assert series.period_id.tolist() == [1, 2, 3, BIG - 1]
+    assert {type(i) for i in series.period_id.tolist()} == {int}
+    assert series.side.tolist() == ["L", "S", "F", "L"]
+    assert series.side.dtype == np.dtype("U1")
+    assert series.pnl.tobytes() == np.array([1.5, -2e-3, -0.0, 0.0]).tobytes()
+    with pytest.raises(AssertionError, match="row reader"):
+        read_trades_csv(io.StringIO(f"{HEAD}\n1_0,L,1\n"))
+
+
+def test_a_loader_warning_sends_the_file_to_the_row_reader(monkeypatch):
+    # numpy 1.23-1.26 read the int64 cell 1.5 as 1 with only a
+    # DeprecationWarning; a loader that warns is not believed.
+    loadtxt = np.loadtxt
+
+    def lenient(lines, *args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt([line.replace("1.5", "1") for line in lines], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", lenient)
+    with pytest.raises(DomainError, match=r"^line 2: invalid literal for int\(\) .*'1\.5'$"):
+        read_trades_csv(io.StringIO(f"{HEAD}\n1.5,L,1\n2,S,1\n"))
+
+
+def test_row_reader_lets_go_of_the_lines():
+    # A large file's lines and rows are not both held while the columns are built.
+    lines = ['1,L,"1.5"\n', "\n", "2,s,-2\n"]
+    series = sysstats._read_rows(lines)
+    assert lines == []
+    assert (series.period_id.tolist(), series.side.tolist()) == ([1, 2], ["L", "S"])
+
+
+PLAIN_IDS = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40, unique=True)
+
+
+@given(
+    ids=PLAIN_IDS,
+    data=st.data(),
+    pad=st.sampled_from(["", " ", "\t"]),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_loader_columns_are_the_row_readers(ids, data, pad, end):
+    # Every plain record, sides of either case padded to less than the
+    # loader's width included: the loader's columns, bit for bit, are those
+    # of the row reader, which the oracle test above holds to the spec.
+    ids = sorted(ids)
+    padding = st.text(" \t\x0b\x0c", max_size=3)
+    sides = data.draw(st.lists(st.tuples(padding, st.sampled_from("LSFlsf"), padding).map("".join),
+                               min_size=len(ids), max_size=len(ids)))
+    pnls = [
+        "0" if side.strip() in "Ff" else pad + data.draw(
+            st.floats(allow_nan=False, allow_infinity=False).map(repr)) + pad
+        for side in sides
+    ]
+    text = end.join([HEAD, *map(f"{pad}{{}}{pad},{{}},{{}}".format, ids, sides, pnls)]) + end
+    lines = io.StringIO(text, newline="").readlines()[1:]
+    loaded, rows = sysstats._loaded(lines), sysstats._read_rows(lines)
+    assert loaded is not None
+    assert loaded.period_id.tolist() == rows.period_id.tolist()
+    assert {type(i) for i in loaded.period_id.tolist()} == {int}
+    for name in ("side", "pnl"):
+        got, want = getattr(loaded, name), getattr(rows, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
