@@ -89,12 +89,14 @@ def asymptotic_growth(bet: BetSpec, f: float) -> float:
     Raises :class:`DomainError` for ``f`` outside ``[0, 1)`` (the ``f = 1``
     boundary is a log singularity whenever ``p < 1``).
     """
+    instance(bet, "bet", BetSpec)
     fraction(f)
     return bet.p * math.log1p(bet.d * f) + bet.q * math.log1p(-f)
 
 
 def growth_derivative(bet: BetSpec, f: float) -> float:
     """First derivative of the growth rate: ``d*p/(1 + d*f) - (1-p)/(1-f)``."""
+    instance(bet, "bet", BetSpec)
     fraction(f)
     return bet.d * bet.p / (1.0 + bet.d * f) - bet.q / (1.0 - f)
 
@@ -104,6 +106,7 @@ def growth_curve(bet: BetSpec, fractions: Sequence[float] | np.ndarray) -> Growt
     outside [0, 1) makes a NaN rate here, but the curve refuses the grid first."""
     import numpy as np
 
+    instance(bet, "bet", BetSpec)
     fractions = column(fractions, "fractions", float)
     with np.errstate(all="ignore"):
         rates = bet.p * np.log1p(bet.d * fractions) + bet.q * np.log1p(-fractions)

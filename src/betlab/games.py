@@ -358,7 +358,7 @@ def write_transcript_csv(transcript: GameTranscript, fh: IO[str]) -> None:
     gains of the (at most four) tails are read from the transcript, where
     the payoff rule made them, at the first round of each pair.
     """
-    t = transcript
+    t = instance(transcript, "transcript", GameTranscript)
     render.write_rows(fh, [["round", "choice1", "choice2", "gain1", "gain2"]])
     pair = 2 * (t.choices1 == T) + (t.choices2 == T)  # HH, HT, TH, TT as 0..3
     tails = np.empty(4, dtype=object)

@@ -260,6 +260,7 @@ def best_feasible(grid: GrationalGrid, max_prob: float) -> GrationalSolution:
     that mask.  The grid does not depend on the cap, so a sweep over caps
     scores one grid and calls this once per cap.
     """
+    instance(grid, "grid", GrationalGrid)
     grid = replace(grid, feasible=grid.p_violation <= probability(max_prob, "max_prob"))
     feasible_idx = np.flatnonzero(grid.feasible)
     if feasible_idx.size == 0:

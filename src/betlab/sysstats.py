@@ -43,7 +43,6 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from operator import itemgetter
 from typing import IO, Sequence
 
 import numpy as np
@@ -245,6 +244,7 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
 
 def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
     """Total P&L averaged over the number of years covered."""
+    instance(row, "row", SummaryRow)
     within(n_years, "n_years", 0, math.inf, "()")
     avg = row.pnltot / n_years
     if not math.isfinite(avg):
@@ -301,23 +301,6 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     return Ppgs.INDETERMINATE
 
 
-def _row_error(line: int, row: list[str]) -> str | None:
-    """The message for a bad data row: its first failed check of side,
-    period_id and pnl, or None for a good row.  A short row's missing
-    cells read as None."""
-    period_id, side, pnl = (row + [None, None])[:3]
-    if (side or "").strip().upper() not in _SIDES:
-        return f"line {line}: side must be one of L,S,F, got {side!r}"
-    try:
-        int(period_id)
-        value = float(pnl)
-    except (TypeError, ValueError) as exc:  # TypeError: a short row
-        return f"line {line}: {exc}"
-    if not math.isfinite(value):
-        return f"line {line}: pnl must be finite, got {pnl!r}"
-    return None
-
-
 def _loaded(lines: list[str]) -> TradeSeries | None:
     """The record read by numpy's C text loader, or None when it is not
     plain cells.  Plain cells are ASCII without the characters of
@@ -350,31 +333,35 @@ def _loaded(lines: list[str]) -> TradeSeries | None:
 
 
 def _read_rows(lines: list[str]) -> TradeSeries:
-    """The record read row by row by ``csv``: each column is converted in
-    one pass and checked by ``TradeSeries``.  Only when that fails are the
-    rows scanned, so that the error names the first bad row.  ``lines`` is
-    emptied once split into rows, so that a large file's lines and rows
-    are not both held while the columns are built."""
-    rows: list[list[str]] = []
+    """The record read row by row by ``csv``, in one pass.  Each row is
+    checked as it is read (side, then period_id and pnl, then finiteness;
+    a short row's missing cells read as None), so the first bad line in
+    the file is the one named, and only the three columns are kept.
+    ``TradeSeries`` then checks the whole record.  ``lines`` is emptied
+    once read."""
+    ids, sides, pnls = [], [], []
     try:
-        rows.extend(filter(None, csv.reader(lines)))  # a blank line reads as []
+        for line, row in enumerate(filter(None, csv.reader(lines)), start=2):  # a blank line: []
+            period_id, side, pnl = (row + [None, None])[:3]
+            # numpy's unicode column drops trailing NULs, so "L\0" reads as L.
+            letter = (side or "").strip().upper().rstrip("\x00")
+            if letter not in _SIDES:
+                raise DomainError(f"line {line}: side must be one of L,S,F, got {side!r}")
+            try:
+                number, value = int(period_id), float(pnl)
+            except (TypeError, ValueError) as exc:  # TypeError: a short row
+                raise DomainError(f"line {line}: {exc}") from None
+            if not math.isfinite(value):
+                raise DomainError(f"line {line}: pnl must be finite, got {pnl!r}")
+            ids.append(number)
+            sides.append(letter)
+            pnls.append(value)
     except csv.Error as exc:  # such as a cell past csv.field_size_limit()
-        raise DomainError(f"line {len(rows) + 2}: {exc}") from None
+        raise DomainError(f"line {len(pnls) + 2}: {exc}") from None
     lines.clear()
-    if not rows:
+    if not pnls:
         raise DomainError("no data rows in trades CSV")
-    try:
-        return TradeSeries(
-            period_id=list(map(int, map(itemgetter(0), rows))),
-            side=list(map(str.upper, map(str.strip, map(itemgetter(1), rows)))),
-            pnl=list(map(float, map(itemgetter(2), rows))),
-        )
-    except (IndexError, ValueError):  # IndexError: a short row
-        for line, row in enumerate(rows, start=2):
-            message = _row_error(line, row)
-            if message is not None:
-                raise DomainError(message) from None
-        raise
+    return TradeSeries(ids, sides, pnls)
 
 
 def read_trades_csv(fh: IO[str]) -> TradeSeries:
@@ -384,8 +371,9 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
     the third are ignored, and blank lines are skipped.  The header is
     read by ``csv``, the data lines as ``fh`` splits them.  A record of
     plain cells (see ``_loaded``) is read by numpy's text loader; any
-    other, a bad one included, row by row by ``csv``.  An error in a row
-    names it by its line number, blank lines not counted.
+    other, a bad one included, row by row by ``csv`` (``_read_rows``).
+    The first bad row in the file is named by its line number, blank
+    lines not counted, before any error of the whole record.
     """
     try:
         header = next(csv.reader(fh), None)
@@ -404,6 +392,7 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
     maxdd flips to the negative display sign; NaN (undefined ir/sdpnl)
     becomes None so JSON renders null and text renders NA.
     """
+    instance(row, "row", SummaryRow)
     values = {name: getattr(row, name) for name in SUMMARY_COLUMNS}
     values["maxdd"] = -row.maxdd
     return {

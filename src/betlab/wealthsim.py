@@ -123,6 +123,7 @@ def outcome_matrix(
     betting fraction, so one matrix can be reused across fractions (the
     common-random-numbers contract used by the grational solver).
     """
+    instance(bet, "bet", BetSpec)
     n_steps, n_paths = outcome_size(n_steps, n_paths)
     first = integer(first, "first path", 0)
     wins = np.empty((n_paths, n_steps), dtype=bool)
@@ -174,11 +175,13 @@ def worst_loss(path: WealthPath) -> float:
 
     Nonnegative because ``s = 0`` is included in the minimum.
     """
+    instance(path, "path", WealthPath)
     return float(path_losses(path.log_wealth, LossKind.WORST_LOSS))
 
 
 def drawdown(path: WealthPath) -> float:
     """Greatest relative loss from a running peak, in one forward pass."""
+    instance(path, "path", WealthPath)
     return float(path_losses(path.log_wealth, LossKind.DRAWDOWN))
 
 
@@ -203,6 +206,7 @@ def ruin_probability_all_in(bet: BetSpec, n: int) -> float:
     Betting everything each turn, a single loss is ruin, so only the
     all-win sequence survives.  Monotone to 1 as ``n`` grows for p < 1.
     """
+    instance(bet, "bet", BetSpec)
     # p**n is exactly 0 (p < 1) or 1 (p = 1) long before n leaves double range.
     return 1.0 - bet.p ** min(count(n, "n"), 2**1023)
 
@@ -216,6 +220,7 @@ def adaptive_policy_growth(bet: BetSpec, n_steps: int, root_seed: int) -> float:
     increment finite when an all-win prefix drives ``xbar_k`` to 1.
     Vectorizable because outcomes never depend on the bet size.
     """
+    instance(bet, "bet", BetSpec)
     n_steps = integer(n_steps, "n_steps", 1, MAX_LENGTH)
     x = stream(root_seed).random(n_steps) < bet.p
     seen = np.arange(n_steps, dtype=float)  # outcomes observed before each step
@@ -239,7 +244,7 @@ def write_paths_csv(paths: Sequence[WealthPath], fh: IO[str]) -> None:
     # and after a win, all without the path id, which the join puts before each.
     lines = {}
     for k, path in enumerate(paths):
-        size = path.log_wealth.size
+        size = instance(path, "path", WealthPath).log_wealth.size
         if size not in lines:
             lines[size] = f",0,{render.FLOAT},\n", [
                 np.array([f",{s},{render.FLOAT},{o}\n" for s in range(1, size)], dtype=object)

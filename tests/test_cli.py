@@ -410,6 +410,15 @@ class TestStats:
         path.write_bytes(TRADES.replace("\n", end).encode())
         assert out_of(capsys, [*argv, "--input", str(path)]) == want
 
+    def test_byte_order_mark_is_skipped(self, capsys, trades_csv, tmp_path):
+        # Spreadsheets' "CSV UTF-8" export starts with one; it was once read
+        # as part of the first header cell.
+        argv = ["stats", "--format", "json"]
+        want = out_of(capsys, [*argv, "--input", trades_csv])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + TRADES.encode())
+        assert out_of(capsys, [*argv, "--input", str(path)]) == want
+
     def test_cell_past_the_field_limit_is_one_error_line(self, capsys, tmp_path):
         # csv's field limit once escaped as a traceback.
         path = tmp_path / "long.csv"

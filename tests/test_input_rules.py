@@ -46,6 +46,7 @@ from betlab.games import (
     play_match,
     responder_expected_gain,
     spy_match,
+    write_transcript_csv,
 )
 from betlab.grational import (
     _MIN_GRID_STEP,
@@ -78,6 +79,8 @@ from betlab.sysstats import (
     Filter,
     TradeSeries,
     average_gain_per_year,
+    display_fields,
+    format_summary_text,
     ppgs_classify,
     runs_test,
     summarize,
@@ -86,11 +89,14 @@ from betlab.wealthsim import (
     SimConfig,
     WealthPath,
     adaptive_policy_growth,
+    drawdown,
     outcome_matrix,
     path_losses,
     path_stats,
     ruin_probability_all_in,
     simulate_paths,
+    worst_loss,
+    write_paths_csv,
 )
 
 BET = BetSpec(0.6, 1.0)
@@ -254,6 +260,44 @@ TYPE_SITES = {
     ),
     "ppgs_classify.series": (
         lambda v: ppgs_classify(v, 0.05), "series must be a TradeSeries", [BET]
+    ),
+    "asymptotic_growth.bet": (
+        lambda v: asymptotic_growth(v, 0.1), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "growth_derivative.bet": (
+        lambda v: growth_derivative(v, 0.1), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "growth_curve.bet": (
+        lambda v: growth_curve(v, [0.0, 0.1]), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "ruin_probability_all_in.bet": (
+        lambda v: ruin_probability_all_in(v, 3), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "adaptive_policy_growth.bet": (
+        lambda v: adaptive_policy_growth(v, 3, 1), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "outcome_matrix.bet": (
+        lambda v: outcome_matrix(v, 3, 2, 1), "bet must be a BetSpec", [(0.6, 1.0)]
+    ),
+    "worst_loss.path": (worst_loss, "path must be a WealthPath", [np.zeros(3)]),
+    "drawdown.path": (drawdown, "path must be a WealthPath", [np.zeros(3)]),
+    "write_paths_csv.path": (
+        lambda v: write_paths_csv([v], io.StringIO()), "path must be a WealthPath", [np.zeros(3)]
+    ),
+    "best_feasible.grid": (
+        lambda v: best_feasible(v, 0.1), "grid must be a GrationalGrid", [problem()]
+    ),
+    "average_gain_per_year.row": (
+        lambda v: average_gain_per_year(v, 2.0), "row must be a SummaryRow", [SERIES]
+    ),
+    "display_fields.row": (display_fields, "row must be a SummaryRow", [SERIES]),
+    "format_summary_text.row": (
+        lambda v: format_summary_text([("All", v)]), "row must be a SummaryRow", [SERIES]
+    ),
+    "write_transcript_csv.transcript": (
+        lambda v: write_transcript_csv(v, io.StringIO()),
+        "transcript must be a GameTranscript",
+        [BET],
     ),
 }
 TYPE_CASES = [

@@ -504,6 +504,13 @@ MALFORMED = {
                   "error: line 2: side must be one of L,S,F, got 'LONG'\n"),
     "order-before-flat-pnl": (HEADER + "2,L,1\n1,F,3\n", 1,
                               "error: period_ids must be strictly increasing\n"),
+    # The first bad line is named, whatever makes it bad: a side with a
+    # trailing NUL reads as its letter, and a cell past csv's field limit
+    # (131072) after a bad line is never reached.
+    "bad-pnl-after-nul-side": (HEADER + "1,L\x00,1\n2,S,zz\n", 1,
+                               "error: line 3: could not convert string to float: 'zz'\n"),
+    "bad-id-before-long-cell": (HEADER + "x,L,1\n2,S," + "1" * 200_000 + "\n", 1,
+                                "error: line 2: invalid literal for int() with base 10: 'x'\n"),
 }
 
 

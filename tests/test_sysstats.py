@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 from enum import Enum
 
@@ -422,20 +423,6 @@ class TestCsvAndFormatting:
         series = read_trades_csv(io.StringIO("period_id, side , pnl\n1,L,3.5\n"))
         assert (series.side.tolist(), series.pnl.tolist()) == (["L"], [3.5])
 
-    def test_valid_file_scans_no_row(self, monkeypatch):
-        # Rows are scanned only to name the bad line of a bad file.
-        def scan(line, row):
-            raise AssertionError(f"row scan at line {line}")
-
-        monkeypatch.setattr(sysstats, "_row_error", scan)
-        text = 'period_id,side,pnl\n 1 , l ,"2.5"\n2,s, -1 \n\n"3",F ,0,note\n'
-        series = read_trades_csv(io.StringIO(text))
-        assert series.period_id.tolist() == [1, 2, 3]
-        assert series.side.tolist() == ["L", "S", "F"]
-        assert series.pnl.tolist() == [2.5, -1.0, 0.0]
-        with pytest.raises(AssertionError, match="line 2"):
-            read_trades_csv(io.StringIO("period_id,side,pnl\n1,X,1\n"))
-
     def test_text_table_column_order_and_sign(self):
         text = format_summary_text([("All", summarize(FIXTURE, Filter.ALL))])
         header, row = text.splitlines()
@@ -603,6 +590,8 @@ READER_CASES = {
     "side-past-the-loader-width": (f"{HEAD}\n1,L       x,1\n",
                                    "line 2: side must be one of L,S,F, got 'L       x'"),
     "extra-cells": (f"{HEAD}\n1,L,1,note,x\n2,S,2,\n", ([1, 2], ["L", "S"], [1.0, 2.0])),
+    "padded-lower-case-and-quoted-cells": (f'{HEAD}\n 1 , l ,"2.5"\n2,s, -1 \n\n"3",F ,0,note\n',
+                                           ([1, 2, 3], ["L", "S", "F"], [2.5, -1.0, 0.0])),
     "nan": (f"{HEAD}\n1,L,nan\n", "line 2: pnl must be finite, got 'nan'"),
     "inf": (f"{HEAD}\n1,L,1\n2,S,inf\n", "line 3: pnl must be finite, got 'inf'"),
     "overflow": (f"{HEAD}\n1,L,1e400\n", "line 2: pnl must be finite, got '1e400'"),
@@ -670,11 +659,26 @@ def test_a_loader_warning_sends_the_file_to_the_row_reader(monkeypatch):
 
 
 def test_row_reader_lets_go_of_the_lines():
-    # A large file's lines and rows are not both held while the columns are built.
+    # A large file's lines are let go before TradeSeries builds its arrays.
     lines = ['1,L,"1.5"\n', "\n", "2,s,-2\n"]
     series = sysstats._read_rows(lines)
     assert lines == []
     assert (series.period_id.tolist(), series.side.tolist()) == ([1, 2], ["L", "S"])
+
+
+def test_row_reader_keeps_no_list_of_rows():
+    # Each row is checked as csv reads it and leaves only its three values in
+    # the columns, so 20k quoted rows peak at about 3 MB; a list that holds
+    # every row as three strings until the columns are built more than doubles it.
+    lines = [f'{i},{"LS"[i % 2]},"{i}.25"\n' for i in range(1, 20_001)]
+    tracemalloc.start()
+    try:
+        series = sysstats._read_rows(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 20_000
+    assert peak < 4_000_000
 
 
 PLAIN_IDS = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40, unique=True)
