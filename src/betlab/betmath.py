@@ -46,8 +46,8 @@ class BetSpec:
     d: float
 
     def __post_init__(self) -> None:
-        probability(self.p, "win probability")
-        within(self.d, "odds", 0, math.inf, "()")
+        object.__setattr__(self, "p", probability(self.p, "win probability"))
+        object.__setattr__(self, "d", within(self.d, "odds", 0, math.inf, "()"))
 
     @property
     def q(self) -> float:
@@ -90,14 +90,14 @@ def asymptotic_growth(bet: BetSpec, f: float) -> float:
     boundary is a log singularity whenever ``p < 1``).
     """
     instance(bet, "bet", BetSpec)
-    fraction(f)
+    f = fraction(f)
     return bet.p * math.log1p(bet.d * f) + bet.q * math.log1p(-f)
 
 
 def growth_derivative(bet: BetSpec, f: float) -> float:
     """First derivative of the growth rate: ``d*p/(1 + d*f) - (1-p)/(1-f)``."""
     instance(bet, "bet", BetSpec)
-    fraction(f)
+    f = fraction(f)
     return bet.d * bet.p / (1.0 + bet.d * f) - bet.q / (1.0 - f)
 
 
@@ -185,5 +185,4 @@ def fractional_kelly(bet: BetSpec, alpha: float) -> float:
     growth is retained for every ``alpha`` in (0, 1] because the growth
     curve is concave with its maximum at ``f*``.
     """
-    within(alpha, "alpha", 0, 1, "(]")
-    return alpha * kelly_fraction(bet)
+    return within(alpha, "alpha", 0, 1, "(]") * kelly_fraction(bet)

@@ -185,7 +185,7 @@ def _cmd_stats(args: argparse.Namespace) -> CommandOutput:
     from . import sysstats
 
     try:
-        with open(args.input, newline="", encoding="utf-8-sig") as fh:  # a BOM is skipped
+        with open(args.input, newline="", encoding="utf-8") as fh:
             series = sysstats.read_trades_csv(fh)
     except UnicodeDecodeError as exc:
         raise DomainError(f"{args.input} is not UTF-8 text: {exc.reason}") from None

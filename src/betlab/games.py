@@ -56,13 +56,15 @@ class GameTranscript:
     def __post_init__(self) -> None:
         c1 = column(self.choices1, "choices1")
         c2 = column(self.choices2, "choices2", size=c1.size)
-        _check_match(c1.size, self.stake, self.rake)
+        _, stake, rake = _check_match(c1.size, self.stake, self.rake)
         for name, choices in (("choices1", c1), ("choices2", c2)):
             bad = choices[(choices != H) & (choices != T)]
             if bad.size:
                 _choice(str(bad[0]), name)  # refuses it
             object.__setattr__(self, name, choices)
-        match, stake, half_rake = c1 == c2, self.stake, self.rake / 2.0
+        object.__setattr__(self, "stake", stake)
+        object.__setattr__(self, "rake", rake)
+        match, half_rake = c1 == c2, rake / 2.0
         for name, win in (("gains1", match), ("gains2", ~match)):
             gains = np.where(win, stake, -stake) - half_rake
             object.__setattr__(self, name, column(gains, name, float))
@@ -148,8 +150,8 @@ class Alternator(Strategy):
 class FrequencyExploiter(Strategy):
     """Order-k context model over the opponent's choices (default k=2).
 
-    Tabulates the opponent's next choice conditional on their last k
-    choices and best-responds to the maximum-likelihood prediction.
+    Keeps the lead of H over T in the opponent's choice after each context
+    of their last k choices, and best-responds to the leading choice.
     Unseen contexts and ties fall back to a uniform coin from the
     strategy's seeded stream, so the exploiter is never worse than
     random in expectation.
@@ -160,21 +162,21 @@ class FrequencyExploiter(Strategy):
 
     def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> FrequencyExploiter:
         """A new exploiter that plays one match from seat ``player``: it, not
-        this strategy, holds the match's context and table (any length, so
+        this strategy, holds the match's context and leads (any length, so
         ``n_rounds`` is unused)."""
         seat = FrequencyExploiter(self.k)
-        seat._reply, seat._rng, seat._context, seat._table = _replies(player), rng, (), {}
+        seat._reply, seat._rng, seat._context, seat._leads = _replies(player), rng, (), {}
         return seat
 
     def choose(self) -> str:
-        counts = self._table.get(self._context)
-        if counts is not None and counts[0] != counts[1]:
-            return self._reply[H if counts[0] > counts[1] else T]
+        if lead := self._leads.get(self._context, 0):
+            return self._reply[H if lead > 0 else T]
         return H if self._rng.random() < 0.5 else T
 
     def observe(self, opp: str) -> None:
         if len(self._context) == self.k:
-            self._table.setdefault(self._context, [0, 0])[0 if opp == H else 1] += 1
+            lead = self._leads.get(self._context, 0)
+            self._leads[self._context] = lead + 1 if opp == H else lead - 1
         self._context = (*self._context, opp)[-self.k:]
 
     def against(self, opponent: np.ndarray) -> np.ndarray:
@@ -223,12 +225,13 @@ class BestResponder(Strategy):
         return Fixed(reply[H if self.announced_p_h > 0.5 else T]).begin(rng, player, n_rounds)
 
 
-def _check_match(n_rounds: int, stake: float, rake: float) -> None:
-    integer(n_rounds, "n_rounds", 1, MAX_LENGTH)
-    within(stake, "stake", 0, math.inf, "()")
-    within(rake, "rake", 0, math.inf, "[)")
+def _check_match(n_rounds: int, stake: float, rake: float) -> tuple[int, float, float]:
+    n_rounds = integer(n_rounds, "n_rounds", 1, MAX_LENGTH)
+    stake = within(stake, "stake", 0, math.inf, "()")
+    rake = within(rake, "rake", 0, math.inf, "[)")
     if not math.isfinite(n_rounds * (stake + rake)):
         raise DomainError(f"stake {stake} and rake {rake} over {shown(n_rounds)} rounds overflow")
+    return n_rounds, stake, rake
 
 
 def play_match(
@@ -247,7 +250,7 @@ def play_match(
     ``rng.random(n)`` gives the same doubles as n scalar draws, so the order
     of drawing changes no transcript.
     """
-    _check_match(n_rounds, stake, rake)
+    n_rounds, stake, rake = _check_match(n_rounds, stake, rake)
     players = [instance(s, f"strategy{i}", Strategy) for i, s in ((1, strategy1), (2, strategy2))]
     seats = [s.begin(stream(root_seed, i), i, n_rounds) for i, s in enumerate(players, 1)]
     adaptive = [isinstance(seat, FrequencyExploiter) for seat in seats]
@@ -273,7 +276,7 @@ def spy_match(
     Player 2 simply mismatches, so gain2 = +stake every round with zero
     variance, whatever strategy 1 does.
     """
-    _check_match(n_rounds, stake, 0.0)
+    n_rounds, stake, _ = _check_match(n_rounds, stake, 0.0)
     c1 = instance(strategy1, "strategy1", Strategy).begin(stream(root_seed, 1), 1, n_rounds)
     if isinstance(c1, FrequencyExploiter):
         played = []
@@ -293,10 +296,10 @@ def responder_expected_gain(
     over the rounds: gain = (2*p_h - 1) * (2*x - 1) * stake_total.
     Bilinear in the two biases; zero whenever either side is unbiased.
     """
-    probability(p_h, "p_h")
-    probability(x, "x")
+    p_h = probability(p_h, "p_h")
+    x = probability(x, "x")
     count(n_rounds, "n_rounds")
-    within(stake_total, "stake_total", 0, math.inf, "[)")
+    stake_total = within(stake_total, "stake_total", 0, math.inf, "[)")
     return (2.0 * p_h - 1.0) * (2.0 * x - 1.0) * stake_total
 
 

@@ -80,15 +80,17 @@ class GrationalProblem:
 
     def __post_init__(self) -> None:
         instance(self.bet, "bet", BetSpec)
-        count(self.n_steps, "n_steps")
+        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
         instance(self.loss_kind, "loss_kind", LossKind)
         # NaN fails the range rule; a real threshold <= 0 is infeasible.
-        if not within(self.loss_threshold, "loss threshold", -math.inf, math.inf) > 0.0:
+        threshold = within(self.loss_threshold, "loss threshold", -math.inf, math.inf)
+        if not threshold > 0.0:
             raise InfeasibleThreshold(
                 f"loss threshold must be positive, got {self.loss_threshold}; "
                 "a nonpositive threshold is violated even by f = 0"
             )
-        probability(self.max_prob, "max_prob")
+        object.__setattr__(self, "loss_threshold", threshold)
+        object.__setattr__(self, "max_prob", probability(self.max_prob, "max_prob"))
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class McBudget:
     root_seed: int
 
     def __post_init__(self) -> None:
-        count(self.n_paths, "n_paths")
-        root_seed(self.root_seed)
+        object.__setattr__(self, "n_paths", count(self.n_paths, "n_paths"))
+        object.__setattr__(self, "root_seed", root_seed(self.root_seed))
 
 
 @dataclass(frozen=True)
@@ -240,8 +242,8 @@ def solve(
     """
     instance(problem, "problem", GrationalProblem)
     instance(budget, "budget", McBudget)
-    within(grid_step, "grid_step", _MIN_GRID_STEP, 0.1)
-    fraction(f_max, "f_max")
+    grid_step = within(grid_step, "grid_step", _MIN_GRID_STEP, 0.1)
+    f_max = fraction(f_max, "f_max")
     if budget.n_paths < _MIN_PATHS:
         raise BudgetError(
             f"need at least {_MIN_PATHS} paths for usable violation estimates, "

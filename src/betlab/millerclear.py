@@ -17,7 +17,7 @@ Two distribution modes:
 * Empirical: the exact order statistic of a concrete estimate sample.
 
 Normal distributions put mass on negative prices at large dispersion;
-the optional truncate flag clamps at zero (off by default).
+either record's truncate flag (a bool, off by default) clamps at zero.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ class NormalOpinions:
     truncate: bool = False
 
     def __post_init__(self) -> None:
-        within(self.mean, "mean", -math.inf, math.inf, "()")
-        within(self.sd, "sd", 0, math.inf, "[)")
+        object.__setattr__(self, "mean", within(self.mean, "mean", -math.inf, math.inf, "()"))
+        object.__setattr__(self, "sd", within(self.sd, "sd", 0, math.inf, "[)"))
+        instance(self.truncate, "truncate", bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +57,7 @@ class EmpiricalOpinions:
 
     def __post_init__(self) -> None:
         samples = column(self.samples, "samples", float)
-        if self.truncate:
+        if instance(self.truncate, "truncate", bool):
             samples = column(np.maximum(samples, 0.0), "samples", float)
         object.__setattr__(self, "samples", samples)
 
@@ -73,9 +74,9 @@ class AuctionSpec:
     short_supply: int = 0
 
     def __post_init__(self) -> None:
-        count(self.m_buyers, "m_buyers")
-        integer(self.n_shares, "n_shares", 0)
-        integer(self.short_supply, "short_supply", 0)
+        object.__setattr__(self, "m_buyers", count(self.m_buyers, "m_buyers"))
+        object.__setattr__(self, "n_shares", integer(self.n_shares, "n_shares", 0))
+        object.__setattr__(self, "short_supply", integer(self.short_supply, "short_supply", 0))
         if self.n_shares + self.short_supply < 1:
             raise DomainError("total supply must be at least one share")
 
@@ -170,13 +171,13 @@ def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
 
 
 def sample_normal_opinions(
-    mean: float, sd: float, m_buyers: int, root_seed: int, truncate: bool = False
+    mean: float, sd: float, m_buyers: int, root_seed: int
 ) -> EmpiricalOpinions:
     """Draw one estimate per buyer from Normal(mean, sd), seeded stream."""
-    integer(m_buyers, "m_buyers", 1, MAX_LENGTH)
-    NormalOpinions(mean, sd)
+    m_buyers = integer(m_buyers, "m_buyers", 1, MAX_LENGTH)
+    dist = NormalOpinions(mean, sd)
     with np.errstate(over="ignore"):
-        draws = mean + sd * stream(root_seed).standard_normal(m_buyers)
+        draws = dist.mean + dist.sd * stream(root_seed).standard_normal(m_buyers)
     if not np.all(np.isfinite(draws)):
         raise DomainError(f"draws from Normal({mean}, {sd}) overflow double precision")
-    return EmpiricalOpinions(samples=draws, truncate=truncate)
+    return EmpiricalOpinions(samples=draws)

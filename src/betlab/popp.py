@@ -189,8 +189,7 @@ def kelly_multiplier(
     table = DEFAULT_MULTIPLIERS if schedule is None else schedule
     if set(table) != set(Phase):
         raise DomainError("schedule must cover exactly the four phases")
-    for p in Phase:
-        within(table[p], f"{p.value} multiplier", 0, 1)
+    table = {p: within(table[p], f"{p.value} multiplier", 0, 1) for p in Phase}
     if not (
         table[Phase.EUREKA] == table[Phase.EARLY_COPYCAT]
         > table[Phase.LATE_COPYCAT]

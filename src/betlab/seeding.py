@@ -46,11 +46,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _key(value: object) -> int:
-    """Check a stream key: a nonnegative integer."""
-    return integer(value, "stream key", 0)
-
-
 def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
     """SeedSequence's hash constant at its ``start``-th to ``start+n-1``-th hash step."""
     steps = range(start, start + n)
@@ -135,7 +130,7 @@ def stream(root_seed: int, *key: int) -> np.random.Generator:
     nonnegative integer; numpy integers are accepted.
     """
     seed = errors.root_seed(root_seed)
-    key = tuple(map(_key, key))
+    key = tuple([integer(k, "stream key", 0) for k in key])
     if len(key) == 1 and key[0] < 2**32:
         (k,) = key
         seq = _KeyedSeedSequence(seed, k, _seed_words(seed, k // _BLOCK)[k % _BLOCK])

@@ -39,6 +39,7 @@ close to alpha that the pure value's error could change the label.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, fields
@@ -184,7 +185,7 @@ def runs_test(outcomes: Sequence[bool]) -> RunsResult:
         mu = 1.0 + 2.0 * n1 * n2 / n
         var = 2.0 * n1 * n2 * (2.0 * n1 * n2 - n) / (n * n * (n - 1.0))
         p = ndtr((runs + 0.5 - mu) / math.sqrt(var))  # scipy.stats.norm.cdf's bits
-    return RunsResult(runs=runs, p_value_too_few=min(max(p, 0.0), 1.0), degenerate=False)
+    return RunsResult(runs=runs, p_value_too_few=p, degenerate=False)
 
 
 def _mean_sd(pnl: np.ndarray) -> tuple[float, float]:
@@ -245,7 +246,7 @@ def summarize(series: TradeSeries, which: Filter) -> SummaryRow:
 def average_gain_per_year(row: SummaryRow, n_years: float) -> float:
     """Total P&L averaged over the number of years covered."""
     instance(row, "row", SummaryRow)
-    within(n_years, "n_years", 0, math.inf, "()")
+    n_years = within(n_years, "n_years", 0, math.inf, "()")
     avg = row.pnltot / n_years
     if not math.isfinite(avg):
         raise DomainError(f"average gain per year overflows over {n_years} years")
@@ -283,7 +284,7 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     within ``_P_SLACK`` of ``alpha``, so the label is what scipy's gives.
     """
     instance(series, "series", TradeSeries)
-    within(alpha, "alpha", 0, 1, "()")
+    alpha = within(alpha, "alpha", 0, 1, "()")
     pnl = series.pnl[series.side != "F"]
     if pnl.size < 30:
         return Ppgs.INDETERMINATE
@@ -373,10 +374,12 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
     plain cells (see ``_loaded``) is read by numpy's text loader; any
     other, a bad one included, row by row by ``csv`` (``_read_rows``).
     The first bad row in the file is named by its line number, blank
-    lines not counted, before any error of the whole record.
+    lines not counted, before any error of the whole record.  One leading
+    byte-order mark, as spreadsheets write, is skipped.
     """
+    first = fh.readline().removeprefix("\ufeff")
     try:
-        header = next(csv.reader(fh), None)
+        header = next(csv.reader(itertools.chain([first], fh)), None) if first else None
     except csv.Error as exc:
         raise DomainError(f"line 1: {exc}") from None
     if header is None or [c.strip() for c in header] != _HEADER:
@@ -394,7 +397,7 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
     """
     instance(row, "row", SummaryRow)
     values = {name: getattr(row, name) for name in SUMMARY_COLUMNS}
-    values["maxdd"] = -row.maxdd
+    values["maxdd"] = -row.maxdd or 0.0  # not -0.0 when there is no drawdown
     return {
         name: None if isinstance(x, float) and math.isnan(x) else x
         for name, x in values.items()

@@ -66,11 +66,11 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         instance(self.bet, "bet", BetSpec)
-        fraction(self.f)
-        count(self.n_steps, "n_steps")
-        count(self.n_paths, "n_paths")
-        within(self.w0, "initial wealth", 0, math.inf, "()")
-        root_seed(self.root_seed)
+        object.__setattr__(self, "f", fraction(self.f))
+        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
+        object.__setattr__(self, "n_paths", count(self.n_paths, "n_paths"))
+        object.__setattr__(self, "w0", within(self.w0, "initial wealth", 0, math.inf, "()"))
+        object.__setattr__(self, "root_seed", root_seed(self.root_seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,11 +132,6 @@ def outcome_matrix(
     return wins
 
 
-def log_increments(bet: BetSpec, f: float, wins: np.ndarray) -> np.ndarray:
-    """Map win flags to log-wealth increments log(1+d*f) / log(1-f)."""
-    return np.where(wins, math.log1p(bet.d * f), math.log1p(-f))
-
-
 def simulate_paths(config: SimConfig) -> list[WealthPath]:
     """Simulate ``n_paths`` independent paths, ordered by path index.
 
@@ -145,7 +140,7 @@ def simulate_paths(config: SimConfig) -> list[WealthPath]:
     """
     instance(config, "config", SimConfig)
     wins = outcome_matrix(config.bet, config.n_steps, config.n_paths, config.root_seed)
-    inc = log_increments(config.bet, config.f, wins)
+    inc = np.where(wins, math.log1p(config.bet.d * config.f), math.log1p(-config.f))
     lw0 = math.log(config.w0)
     lw = np.empty((config.n_paths, config.n_steps + 1), dtype=float)
     lw[:, 0] = lw0

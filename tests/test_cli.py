@@ -372,6 +372,17 @@ class TestStats:
         assert blob["All"]["maxdd"] == -4.0
         assert blob["All"]["pnltot"] == 9.0
 
+    @pytest.mark.parametrize("fmt, want", [("text", "0"), ("csv", "0"), ("json", "0.0")])
+    def test_no_drawdown_is_zero(self, capsys, tmp_path, fmt, want):
+        # A record without a drawdown once printed maxdd as -0 and -0.0.
+        path = tmp_path / "one.csv"
+        path.write_text("period_id,side,pnl\n1,L,1\n")
+        out = out_of(capsys, ["stats", "--input", str(path), "--format", fmt])
+        if fmt == "json":
+            assert json.dumps(json.loads(out)["All"]["maxdd"]) == want
+        else:
+            assert out.splitlines()[1].replace(",", " ").split()[3] == want
+
     def test_csv_row(self, capsys, trades_csv):
         out = out_of(capsys, ["stats", "--input", trades_csv, "--format", "csv"])
         lines = out.splitlines()

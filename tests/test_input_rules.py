@@ -27,6 +27,7 @@ from betlab.betmath import (
     BetSpec,
     GrowthCurve,
     asymptotic_growth,
+    critical_fraction,
     fractional_kelly,
     growth_curve,
     growth_derivative,
@@ -298,6 +299,16 @@ TYPE_SITES = {
         lambda v: write_transcript_csv(v, io.StringIO()),
         "transcript must be a GameTranscript",
         [BET],
+    ),
+    # Last, so that the rows above keep their ids.  A truthy string once
+    # truncated: "no" clamped the price or the samples at 0.
+    "NormalOpinions.truncate": (
+        lambda v: NormalOpinions(0.0, 10.0, truncate=v), "truncate must be a bool", [0, "no"]
+    ),
+    "EmpiricalOpinions.truncate": (
+        lambda v: EmpiricalOpinions([-5.0, 1.0, 2.0], truncate=v),
+        "truncate must be a bool",
+        [0, "no"],
     ),
 }
 TYPE_CASES = [
@@ -641,6 +652,61 @@ def test_numpy_numbers_accepted():
     assert prices.shape == (3,)
     assert growth_curve(BET, np.array([0, 0.5], dtype=np.float32)).fractions.dtype == float
     assert best_feasible(GRID, f64(0.5)).f_star == 0.1
+
+
+# Numbers a site returns or a record stores, and a value to pass: a float
+# site is given np.float32(value) and float(np.float32(value)), an int site
+# np.int32(value) and int(value), and must give the same Python float or int
+# for both.  A float32 once leaked into the arithmetic and the result: the
+# Kelly fraction came back as np.float32, the critical fraction was wrong in
+# its 7th digit, and json.dumps refused both.
+NUMBER_SITES = {
+    "BetSpec.p": (lambda v: BetSpec(v, 1.0).p, 0.6),
+    "BetSpec.d": (lambda v: BetSpec(0.6, v).d, 1.5),
+    "kelly_fraction": (lambda v: kelly_fraction(BetSpec(v, 1.0)), 0.6),
+    "critical_fraction": (lambda v: critical_fraction(BetSpec(v, 1.0)), 0.6),
+    "asymptotic_growth.f": (lambda v: asymptotic_growth(BetSpec(0.6, 1.5), v), 0.1),
+    "growth_derivative.f": (lambda v: growth_derivative(BET, v), 0.1),
+    "fractional_kelly.alpha": (lambda v: fractional_kelly(BET, v), 0.5),
+    "SimConfig.f": (lambda v: SimConfig(BET, v, 2, 2, 1).f, 0.1),
+    "SimConfig.n_steps": (lambda v: SimConfig(BET, 0.1, v, 2, 1).n_steps, 5),
+    "SimConfig.n_paths": (lambda v: SimConfig(BET, 0.1, 2, v, 1).n_paths, 5),
+    "SimConfig.root_seed": (lambda v: SimConfig(BET, 0.1, 2, 2, v).root_seed, 7),
+    "SimConfig.w0": (lambda v: SimConfig(BET, 0.1, 2, 2, 1, w0=v).w0, 2.5),
+    "GrationalProblem.n_steps": (lambda v: problem(n_steps=v).n_steps, 5),
+    "GrationalProblem.loss_threshold": (
+        lambda v: GrationalProblem(BET, 10, DD, v, 0.1).loss_threshold, 0.3
+    ),
+    "GrationalProblem.max_prob": (lambda v: problem(max_prob=v).max_prob, 0.1),
+    "McBudget.n_paths": (lambda v: McBudget(v, 1).n_paths, 1000),
+    "McBudget.root_seed": (lambda v: McBudget(1000, v).root_seed, 7),
+    "NormalOpinions.mean": (lambda v: NormalOpinions(v, 10.0).mean, 50.3),
+    "NormalOpinions.sd": (lambda v: NormalOpinions(50.0, v).sd, 10.3),
+    "clearing_price": (
+        lambda v: clearing_price(NormalOpinions(v, 10.0), AuctionSpec(50, 1000)), 50.0
+    ),
+    "AuctionSpec.n_shares": (lambda v: AuctionSpec(v, 1000).n_shares, 50),
+    "AuctionSpec.m_buyers": (lambda v: AuctionSpec(50, v).m_buyers, 1000),
+    "AuctionSpec.short_supply": (lambda v: AuctionSpec(50, 1000, v).short_supply, 5),
+    "GameTranscript.stake": (lambda v: GameTranscript(["H"], ["T"], v).stake, 1.5),
+    "GameTranscript.rake": (lambda v: GameTranscript(["H"], ["T"], 1.0, v).rake, 0.1),
+    "responder_expected_gain.p_h": (lambda v: responder_expected_gain(v, 0.7, 10, 1.0), 0.6),
+    "average_gain_per_year.n_years": (
+        lambda v: average_gain_per_year(summarize(SERIES, Filter.ALL), v), 3.0
+    ),
+    "kelly_multiplier": (
+        lambda v: kelly_multiplier(Phase.CRASH, {**DEFAULT_MULTIPLIERS, Phase.CRASH: v}), 0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_SITES))
+def test_numbers_are_python_numbers(name):
+    site, value = NUMBER_SITES[name]
+    kind = type(value)
+    narrow = (np.float32 if kind is float else np.int32)(value)
+    got, want = site(narrow), site(kind(narrow))
+    assert type(got) is type(want) is kind and got == want, (got, want)
 
 
 # Each record that holds arrays: how to build it, and the arrays it is built

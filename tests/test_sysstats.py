@@ -419,6 +419,18 @@ class TestCsvAndFormatting:
         with pytest.raises(DomainError, match="side"):
             read_trades_csv(io.StringIO("period_id,side,pnl\n1,X,1\n"))
 
+    @pytest.mark.parametrize("header", ["period_id,side,pnl", '"period_id","side","pnl"'])
+    def test_byte_order_mark_is_skipped(self, header):
+        # One leading mark is not part of the header, from any reader, not
+        # only from a file the CLI opens; a second one is.
+        text = f"{header}\n1,L,1\n2,S,-0.5\n"
+        plain = read_trades_csv(io.StringIO(text))
+        marked = read_trades_csv(io.StringIO("\ufeff" + text))
+        for name in ("period_id", "side", "pnl"):
+            assert getattr(marked, name).tolist() == getattr(plain, name).tolist()
+        with pytest.raises(DomainError, match="^expected header"):
+            read_trades_csv(io.StringIO("\ufeff\ufeff" + text))
+
     def test_padded_header(self):
         series = read_trades_csv(io.StringIO("period_id, side , pnl\n1,L,3.5\n"))
         assert (series.side.tolist(), series.pnl.tolist()) == (["L"], [3.5])
