@@ -82,26 +82,28 @@ class GameTranscript:
         return float(np.sum(self.gains2))
 
 
-class Strategy:
-    """A matching-pennies player.
-
-    Every strategy implements ``begin(rng, player, n_rounds)``, which starts
-    one seat of a match on that seat's stream.  A history-blind strategy
-    returns the match's whole choice array (dtype ``U1``) at once.  The one
-    adaptive strategy, :class:`FrequencyExploiter`, returns a new exploiter
-    for one match instead.  Against a history-blind seat, its ``against``
-    gives its whole column at once; against a second exploiter, or in
-    ``spy_match``, its ``choose``/``observe`` play round by round.
-    """
-
-
 _OTHER = {H: T, T: H}
 
 
-def _replies(player: int) -> dict[str, str]:
-    """A seat's best reply to each predicted opponent choice: player 1
-    wins on a match, player 2 on a mismatch."""
-    return {H: H, T: T} if integer(player, "player", 1, 2) == 1 else _OTHER
+class Strategy:
+    """A matching-pennies player.
+
+    ``begin(rng, player, n_rounds)`` checks the round count, the seat (1 or
+    2) and its stream for every strategy, then starts the seat with the
+    strategy's ``_start`` and the seat's best replies (player 1 wins on a
+    match, player 2 on a mismatch).  A history-blind strategy returns the
+    match's whole choice array (dtype ``U1``) at once.  The one adaptive
+    strategy, :class:`FrequencyExploiter`, returns a new exploiter for one
+    match instead.  Against a history-blind seat, its ``against`` gives its
+    whole column at once; against a second exploiter, or in ``spy_match``,
+    its ``choose``/``observe`` play round by round.
+    """
+
+    def begin(self, rng: np.random.Generator, player: int,
+              n_rounds: int) -> np.ndarray | FrequencyExploiter:
+        n_rounds = integer(n_rounds, "n_rounds", 1, MAX_LENGTH)
+        reply = {H: H, T: T} if integer(player, "player", 1, 2) == 1 else _OTHER
+        return self._start(instance(rng, "rng", np.random.Generator), reply, n_rounds)
 
 
 def _choice(value: str, what: str) -> str:
@@ -116,7 +118,7 @@ class Biased(Strategy):
     def __init__(self, p_h: float) -> None:
         self.p_h = probability(p_h, "p_h")
 
-    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def _start(self, rng: np.random.Generator, reply: dict, n_rounds: int) -> np.ndarray:
         return np.where(rng.random(n_rounds) < self.p_h, H, T)
 
 
@@ -133,7 +135,7 @@ class Fixed(Strategy):
     def __init__(self, choice: str) -> None:
         self.choice = _choice(choice, "choice")
 
-    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def _start(self, rng: np.random.Generator, reply: dict, n_rounds: int) -> np.ndarray:
         return np.full(n_rounds, self.choice, dtype="U1")
 
 
@@ -143,7 +145,7 @@ class Alternator(Strategy):
     def __init__(self, start: str = H) -> None:
         self.start = _choice(start, "start")
 
-    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
+    def _start(self, rng: np.random.Generator, reply: dict, n_rounds: int) -> np.ndarray:
         return np.resize(np.array([self.start, _OTHER[self.start]]), n_rounds)
 
 
@@ -160,12 +162,12 @@ class FrequencyExploiter(Strategy):
     def __init__(self, k: int = 2) -> None:
         self.k = integer(k, "context order", 1, 8)
 
-    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> FrequencyExploiter:
-        """A new exploiter that plays one match from seat ``player``: it, not
-        this strategy, holds the match's context and leads (any length, so
+    def _start(self, rng: np.random.Generator, reply: dict, n_rounds: int) -> FrequencyExploiter:
+        """A new exploiter that plays one match with ``reply``: it, not this
+        strategy, holds the match's context and leads (any length, so
         ``n_rounds`` is unused)."""
         seat = FrequencyExploiter(self.k)
-        seat._reply, seat._rng, seat._context, seat._leads = _replies(player), rng, (), {}
+        seat._reply, seat._rng, seat._context, seat._leads = reply, rng, (), {}
         return seat
 
     def choose(self) -> str:
@@ -218,11 +220,10 @@ class BestResponder(Strategy):
     def __init__(self, announced_p_h: float) -> None:
         self.announced_p_h = probability(announced_p_h, "announced p_h")
 
-    def begin(self, rng: np.random.Generator, player: int, n_rounds: int) -> np.ndarray:
-        reply = _replies(player)
+    def _start(self, rng: np.random.Generator, reply: dict, n_rounds: int) -> np.ndarray:
         if self.announced_p_h == 0.5:
-            return CoinFlip().begin(rng, player, n_rounds)
-        return Fixed(reply[H if self.announced_p_h > 0.5 else T]).begin(rng, player, n_rounds)
+            return CoinFlip()._start(rng, reply, n_rounds)
+        return Fixed(reply[H if self.announced_p_h > 0.5 else T])._start(rng, reply, n_rounds)
 
 
 def _check_match(n_rounds: int, stake: float, rake: float) -> tuple[int, float, float]:
@@ -333,7 +334,7 @@ def parse_strategy(text: str) -> Strategy:
     none, and a spec whose value is not in [...] needs one.  A missing value,
     or one that is not a number where one is expected, prints the spec's
     rule."""
-    name, colon, arg = text.strip().partition(":")
+    name, colon, arg = instance(text, "text", str).strip().partition(":")
     name, arg = name.lower(), arg.strip()
     if name not in _SPECS:
         *first, last = (rule for rule, _, _ in _SPECS.values())

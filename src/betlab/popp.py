@@ -84,7 +84,7 @@ class StateVars:
     @classmethod
     def from_tokens(cls, text: str) -> "StateVars":
         """Parse a comma-separated nine-level vector, field order as declared."""
-        tokens = [t.strip() for t in text.split(",")]
+        tokens = [t.strip() for t in instance(text, "text", str).split(",")]
         names = [f.name for f in fields(cls)]
         if len(tokens) != len(names):
             raise DomainError(

@@ -302,13 +302,14 @@ def ppgs_classify(series: TradeSeries, alpha: float = 0.05) -> Ppgs:
     return Ppgs.INDETERMINATE
 
 
-def _loaded(lines: list[str]) -> TradeSeries | None:
-    """The record read by numpy's C text loader, or None when it is not
-    plain cells.  Plain cells are ASCII without the characters of
-    ``_NOT_PLAIN``, no line is past ``csv``'s field limit, ids fit int64,
-    sides are narrower than ``_SIDE_WIDTH`` and, stripped and upper-cased,
-    L, S or F, and the columns pass ``TradeSeries``.  A warning while numpy
-    reads (a table without rows, or a cell read leniently) refuses the file."""
+def _loaded(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The record's three columns read by numpy's C text loader, or None
+    when a row may be at fault, for the row reader to name.  Its cells must
+    be plain: ASCII without the characters of ``_NOT_PLAIN``, no line past
+    ``csv``'s field limit, ids that fit int64, sides narrower than
+    ``_SIDE_WIDTH`` and, stripped and upper-cased, L, S or F, and finite
+    P&L.  A warning while numpy reads (a table without rows, or a cell read
+    leniently) refuses the file."""
     text = "".join(lines)
     if (not text.isascii() or any(c in text for c in _NOT_PLAIN)
             or max(map(len, lines), default=0) > csv.field_size_limit()):
@@ -325,21 +326,17 @@ def _loaded(lines: list[str]) -> TradeSeries | None:
     side = np.char.strip(table["side"])
     lower = ~np.isin(side, _SIDES)  # only these are upper-cased: np.char.upper is slow
     side[lower] = np.char.upper(side[lower])
-    if not np.isin(side, _SIDES).all():
+    if not (np.isin(side, _SIDES).all() and np.isfinite(table["pnl"]).all()):
         return None
-    try:
-        return TradeSeries(table["period_id"], side.astype("U1"), table["pnl"])
-    except ValueError:  # a record TradeSeries refuses
-        return None
+    return table["period_id"], side.astype("U1"), table["pnl"]
 
 
-def _read_rows(lines: list[str]) -> TradeSeries:
-    """The record read row by row by ``csv``, in one pass.  Each row is
-    checked as it is read (side, then period_id and pnl, then finiteness;
-    a short row's missing cells read as None), so the first bad line in
-    the file is the one named, and only the three columns are kept.
-    ``TradeSeries`` then checks the whole record.  ``lines`` is emptied
-    once read."""
+def _read_rows(lines: list[str]) -> tuple[list[int], list[str], list[float]]:
+    """The record's three columns read row by row by ``csv``, in one pass.
+    Each row is checked as it is read (side, then period_id and pnl, then
+    finiteness; a short row's missing cells read as None), so the first bad
+    line in the file is the one named, and only the three columns are kept.
+    ``lines`` is emptied once read."""
     ids, sides, pnls = [], [], []
     try:
         for line, row in enumerate(filter(None, csv.reader(lines)), start=2):  # a blank line: []
@@ -362,7 +359,7 @@ def _read_rows(lines: list[str]) -> TradeSeries:
     lines.clear()
     if not pnls:
         raise DomainError("no data rows in trades CSV")
-    return TradeSeries(ids, sides, pnls)
+    return ids, sides, pnls
 
 
 def read_trades_csv(fh: IO[str]) -> TradeSeries:
@@ -372,10 +369,11 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
     the third are ignored, and blank lines are skipped.  The header is
     read by ``csv``, the data lines as ``fh`` splits them.  A record of
     plain cells (see ``_loaded``) is read by numpy's text loader; any
-    other, a bad one included, row by row by ``csv`` (``_read_rows``).
-    The first bad row in the file is named by its line number, blank
-    lines not counted, before any error of the whole record.  One leading
-    byte-order mark, as spreadsheets write, is skipped.
+    other, one with a bad row included, row by row by ``csv``
+    (``_read_rows``), which names the first bad row by its line number,
+    blank lines not counted.  ``TradeSeries`` then judges the whole record
+    once (id order, no P&L on a flat period).  One leading byte-order mark,
+    as spreadsheets write, is skipped.
     """
     first = fh.readline().removeprefix("\ufeff")
     try:
@@ -385,8 +383,7 @@ def read_trades_csv(fh: IO[str]) -> TradeSeries:
     if header is None or [c.strip() for c in header] != _HEADER:
         raise DomainError(f"expected header {','.join(_HEADER)}, got {header}")
     lines = fh.readlines()
-    series = _loaded(lines)
-    return _read_rows(lines) if series is None else series
+    return TradeSeries(*(_loaded(lines) or _read_rows(lines)))
 
 
 def display_fields(row: SummaryRow) -> dict[str, float | int | None]:

@@ -412,6 +412,13 @@ class TestStats:
             "", "error: average gain per year overflows over 1e-320 years\n"
         )
 
+    def test_cumulative_overflow_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "overflow.csv"
+        rows = (f"{i},L,1.0574665499190091e+307\n" for i in range(1, 18))
+        path.write_text("period_id,side,pnl\n" + "".join(rows))
+        assert run(["stats", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: cumulative P&L overflows double precision\n")
+
     @pytest.mark.parametrize("end", ["\r", "\r\n"])
     def test_line_ends_read_as_newlines(self, capsys, trades_csv, tmp_path, end):
         # The file is opened with newline="", so csv and numpy split it alike.

@@ -38,12 +38,15 @@ from betlab.betmath import (
 from betlab.cli import SEED_ENV_VAR, run
 from betlab.errors import DomainError
 from betlab.games import (
+    Alternator,
     BestResponder,
     Biased,
     CoinFlip,
+    Fixed,
     FrequencyExploiter,
     GameTranscript,
     frequency_exploiter,
+    parse_strategy,
     play_match,
     responder_expected_gain,
     spy_match,
@@ -71,6 +74,7 @@ from betlab.millerclear import (
 from betlab.popp import (
     DEFAULT_MULTIPLIERS,
     Phase,
+    StateVars,
     classify_phase,
     kelly_multiplier,
     legal_transitions,
@@ -118,6 +122,10 @@ GRID = GrationalGrid(
     feasible=np.array([True, False]),
 )
 
+# One of each strategy, whose ``begin`` checks its stream, seat and rounds.
+STRATEGIES = (Biased(0.6), CoinFlip(), Fixed("H"), Alternator(), FrequencyExploiter(),
+              BestResponder(0.7))
+
 # Each site passes the value under test in one argument, every other
 # argument valid.
 COUNT_SITES = {
@@ -139,6 +147,10 @@ COUNT_SITES = {
     "spy_match.n_rounds": lambda v: spy_match(CoinFlip(), v, 1),
     "FrequencyExploiter.k": lambda v: FrequencyExploiter(v),
     "frequency_exploiter.k": lambda v: frequency_exploiter(["H", "T"], k=v),
+    **{
+        f"{type(s).__name__}.begin.n_rounds": lambda v, s=s: s.begin(stream(1), 1, v)
+        for s in STRATEGIES
+    },
 }
 # Share counts may be zero.
 NONNEGATIVE_SITES = {
@@ -187,6 +199,10 @@ SEAT_SITES = {
     "frequency_exploiter.player": lambda v: frequency_exploiter(["H"] * 5, k=1, player=v),
     "FrequencyExploiter.begin.player": lambda v: FrequencyExploiter().begin(stream(1), v, 3),
     "BestResponder.begin.player": lambda v: BestResponder(0.5).begin(stream(1), v, 3),
+    "Biased.begin.player": lambda v: Biased(0.6).begin(stream(1), v, 3),
+    "CoinFlip.begin.player": lambda v: CoinFlip().begin(stream(1), v, 3),
+    "Fixed.begin.player": lambda v: Fixed("H").begin(stream(1), v, 3),
+    "Alternator.begin.player": lambda v: Alternator().begin(stream(1), v, 3),
 }
 SERIES = TradeSeries(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5])
 
@@ -310,11 +326,21 @@ TYPE_SITES = {
         "truncate must be a bool",
         [0, "no"],
     ),
+    # A bit generator is not a Generator.
+    **{
+        f"{type(s).__name__}.begin.rng": (
+            lambda v, s=s: s.begin(v, 1, 3), "rng must be a Generator", [np.random.PCG64(1)]
+        )
+        for s in STRATEGIES
+    },
+    # Text entry points: only a string is parsed.
+    "parse_strategy.text": (parse_strategy, "text must be a str", [5, b"coinflip"]),
+    "StateVars.from_tokens.text": (StateVars.from_tokens, "text must be a str", [5, b"+"]),
 }
 TYPE_CASES = [
     (name, value)
-    for name, (_, _, others) in TYPE_SITES.items()
-    for value in [None, "x", *others]
+    for name, (_, start, others) in TYPE_SITES.items()
+    for value in [None, *([] if start.endswith("a str") else ["x"]), *others]
 ]
 INF = math.inf
 # Real arguments checked by ``errors.within``: the site, then the interval's
@@ -365,7 +391,7 @@ MAX = errors.MAX_LENGTH
 # interval's inclusive ends (``INF`` for no bound).  An array length ends at
 # ``MAX``.  Where a site would build an array of ``MAX`` entries, another
 # argument makes it refuse the call after the range rule has passed: an
-# overflowing stake or a seed of None.
+# overflowing stake, a seed of None or a stream of None.
 INTEGER_SITES = {
     "count": (lambda v: errors.count(v, "n"), 1, INF),
     "root_seed": (errors.root_seed, 0, 2**64 - 1),
@@ -392,6 +418,14 @@ INTEGER_SITES = {
     "sample_normal_opinions.m_buyers": (
         lambda v: sample_normal_opinions(50.0, 10.0, v, None), 1, MAX
     ),
+    "Biased.begin.player": (lambda v: Biased(0.6).begin(stream(1), v, 3), 1, 2),
+    "CoinFlip.begin.player": (lambda v: CoinFlip().begin(stream(1), v, 3), 1, 2),
+    "Fixed.begin.player": (lambda v: Fixed("H").begin(stream(1), v, 3), 1, 2),
+    "Alternator.begin.player": (lambda v: Alternator().begin(stream(1), v, 3), 1, 2),
+    **{
+        f"{type(s).__name__}.begin.n_rounds": (lambda v, s=s: s.begin(None, 1, v), 1, MAX)
+        for s in STRATEGIES
+    },
 }
 # Real arguments whose range rule is their own; a non-real must fail the
 # shared real-number rule before any comparison.
@@ -448,6 +482,8 @@ def rejects(site, value) -> None:
 @example(name="ruin_probability_all_in.n", value=math.nan)
 @example(name="FrequencyExploiter.k", value=2.5)
 @example(name="play_match.n_rounds", value=2.5)
+@example(name="Biased.begin.n_rounds", value=2.5)
+@example(name="Fixed.begin.n_rounds", value=-1)
 def test_counts(name, value):
     rejects(COUNT_SITES[name], value)
 

@@ -211,6 +211,13 @@ class TestSummarize:
         row = summarize(FIXTURE, Filter.ALL)
         assert row.pnlpp * row.npi == pytest.approx(row.pnltot, abs=1e-9)
 
+    def test_cumulative_overflow_rejected(self):
+        # One double below DBL_MAX / 17 each: the mean and sd stay finite,
+        # but the cumulative P&L passes DBL_MAX at the 17th period.
+        series = series_of(*[("L", 1.0574665499190091e307)] * 17)
+        with pytest.raises(DomainError, match="^cumulative P&L overflows double precision$"):
+            summarize(series, Filter.ALL)
+
     def test_empty_filter_rejected(self):
         with pytest.raises(EmptySelection):
             summarize(series_of(("L", 1.0)), Filter.SHORT)
@@ -673,7 +680,7 @@ def test_a_loader_warning_sends_the_file_to_the_row_reader(monkeypatch):
 def test_row_reader_lets_go_of_the_lines():
     # A large file's lines are let go before TradeSeries builds its arrays.
     lines = ['1,L,"1.5"\n', "\n", "2,s,-2\n"]
-    series = sysstats._read_rows(lines)
+    series = TradeSeries(*sysstats._read_rows(lines))
     assert lines == []
     assert (series.period_id.tolist(), series.side.tolist()) == ([1, 2], ["L", "S"])
 
@@ -685,7 +692,7 @@ def test_row_reader_keeps_no_list_of_rows():
     lines = [f'{i},{"LS"[i % 2]},"{i}.25"\n' for i in range(1, 20_001)]
     tracemalloc.start()
     try:
-        series = sysstats._read_rows(lines)
+        series = TradeSeries(*sysstats._read_rows(lines))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -696,32 +703,59 @@ def test_row_reader_keeps_no_list_of_rows():
 PLAIN_IDS = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40, unique=True)
 
 
+def judged(read) -> TradeSeries | str:
+    """What ``read()`` returns, or the message of its DomainError."""
+    try:
+        return read()
+    except DomainError as exc:
+        return str(exc)
+
+
 @given(
     ids=PLAIN_IDS,
     data=st.data(),
     pad=st.sampled_from(["", " ", "\t"]),
     end=st.sampled_from(["\n", "\r\n", "\r"]),
+    order=st.sampled_from(["increasing", "shuffled", "repeated"]),
+    flat_pnl=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_loader_columns_are_the_row_readers(ids, data, pad, end):
+def test_loader_columns_are_the_row_readers(ids, data, pad, end, order, flat_pnl):
     # Every plain record, sides of either case padded to less than the
     # loader's width included: the loader's columns, bit for bit, are those
-    # of the row reader, which the oracle test above holds to the spec.
+    # of the row reader, which the oracle test above holds to the spec.  A
+    # plain record that breaks a rule of the whole record (ids out of order
+    # or repeated, P&L on a flat period) is refused in the same words,
+    # without being read row by row.
     ids = sorted(ids)
+    if order == "shuffled":
+        ids = data.draw(st.permutations(ids))
+    elif order == "repeated":
+        k = data.draw(st.integers(0, len(ids) - 1))
+        ids.insert(k, ids[k])
     padding = st.text(" \t\x0b\x0c", max_size=3)
     sides = data.draw(st.lists(st.tuples(padding, st.sampled_from("LSFlsf"), padding).map("".join),
                                min_size=len(ids), max_size=len(ids)))
     pnls = [
-        "0" if side.strip() in "Ff" else pad + data.draw(
+        "0" if side.strip() in "Ff" and not flat_pnl else pad + data.draw(
             st.floats(allow_nan=False, allow_infinity=False).map(repr)) + pad
         for side in sides
     ]
     text = end.join([HEAD, *map(f"{pad}{{}}{pad},{{}},{{}}".format, ids, sides, pnls)]) + end
+
+    def rows(lines):
+        raise AssertionError("row reader")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sysstats, "_read_rows", rows)
+        loaded = judged(lambda: read_trades_csv(io.StringIO(text, newline="")))
     lines = io.StringIO(text, newline="").readlines()[1:]
-    loaded, rows = sysstats._loaded(lines), sysstats._read_rows(lines)
-    assert loaded is not None
-    assert loaded.period_id.tolist() == rows.period_id.tolist()
+    want = judged(lambda: TradeSeries(*sysstats._read_rows(lines)))
+    if isinstance(want, str):
+        assert loaded == want
+        return
+    assert loaded.period_id.tolist() == want.period_id.tolist()
     assert {type(i) for i in loaded.period_id.tolist()} == {int}
     for name in ("side", "pnl"):
-        got, want = getattr(loaded, name), getattr(rows, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got, expected = getattr(loaded, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
