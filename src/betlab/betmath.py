@@ -27,27 +27,23 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import (DomainError, NoPositiveRoot, column, fraction, instance, probability,
-                     within)
+from .errors import (DomainError, NoPositiveRoot, Ruled, column, fraction, instance,
+                     probability, ruled, within)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 @dataclass(frozen=True)
-class BetSpec:
+class BetSpec(Ruled):
     """A biased-coin wager: win probability ``p`` at odds ``d``.
 
     ``d`` is the payout per unit staked on a win; the stake is lost on a
     loss.  The loss probability ``q = 1 - p`` is derived, never stored.
     """
 
-    p: float
-    d: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", probability(self.p, "win probability"))
-        object.__setattr__(self, "d", within(self.d, "odds", 0, math.inf, "()"))
+    p: float = ruled(probability, what="win probability")
+    d: float = ruled(within, 0, math.inf, "()", what="odds")
 
     @property
     def q(self) -> float:
@@ -55,22 +51,21 @@ class BetSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class GrowthCurve:
+class GrowthCurve(Ruled):
     """Finite asymptotic growth rates on an increasing grid of fractions, both read-only."""
 
-    fractions: np.ndarray
+    fractions: np.ndarray = ruled(column, float)
     rates: np.ndarray
 
     def __post_init__(self) -> None:
         import numpy as np  # here and in growth_curve, so the scalar rules load no numpy
 
-        fractions = column(self.fractions, "fractions", float)
-        if not np.all((fractions >= 0) & (fractions < 1)):
+        super().__post_init__()
+        if not np.all((self.fractions >= 0) & (self.fractions < 1)):
             raise DomainError("fractions must lie in [0, 1)")
-        if np.any(np.diff(fractions) <= 0):
+        if np.any(np.diff(self.fractions) <= 0):
             raise DomainError("fractions must be strictly increasing")
-        object.__setattr__(self, "fractions", fractions)
-        object.__setattr__(self, "rates", column(self.rates, "rates", float, fractions.size))
+        object.__setattr__(self, "rates", column(self.rates, "rates", float, self.fractions.size))
 
     def argmax_fraction(self) -> float:
         """Grid fraction with the largest growth rate."""

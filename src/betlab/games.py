@@ -107,7 +107,7 @@ class Strategy:
 
 
 def _choice(value: str, what: str) -> str:
-    if value not in (H, T):
+    if instance(value, what, str) not in (H, T):
         raise DomainError(f"{what} must be H or T, got {value!r}")
     return value
 

@@ -54,8 +54,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .betmath import BetSpec
-from .errors import (BudgetError, InfeasibleThreshold, column, count, fraction, instance,
-                     probability, root_seed, within)
+from .errors import (BudgetError, InfeasibleThreshold, Ruled, column, count, fraction, instance,
+                     probability, root_seed, ruled, within)
 from .wealthsim import LossKind, outcome_matrix, outcome_size, path_losses
 
 _MIN_PATHS = 1000
@@ -68,41 +68,34 @@ _MIN_GRID_STEP = 1e-6
 _BLOCK_CELLS = 1 << 16
 
 
+def _threshold(value: object, what: str) -> float:
+    """A loss threshold: NaN fails the range rule, and a real one <= 0 is infeasible."""
+    threshold = within(value, what, -math.inf, math.inf)
+    if not threshold > 0.0:
+        raise InfeasibleThreshold(
+            f"{what} must be positive, got {value}; "
+            "a nonpositive threshold is violated even by f = 0"
+        )
+    return threshold
+
+
 @dataclass(frozen=True)
-class GrationalProblem:
+class GrationalProblem(Ruled):
     """One constrained-growth instance."""
 
-    bet: BetSpec
-    n_steps: int
-    loss_kind: LossKind
-    loss_threshold: float
-    max_prob: float
-
-    def __post_init__(self) -> None:
-        instance(self.bet, "bet", BetSpec)
-        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
-        instance(self.loss_kind, "loss_kind", LossKind)
-        # NaN fails the range rule; a real threshold <= 0 is infeasible.
-        threshold = within(self.loss_threshold, "loss threshold", -math.inf, math.inf)
-        if not threshold > 0.0:
-            raise InfeasibleThreshold(
-                f"loss threshold must be positive, got {self.loss_threshold}; "
-                "a nonpositive threshold is violated even by f = 0"
-            )
-        object.__setattr__(self, "loss_threshold", threshold)
-        object.__setattr__(self, "max_prob", probability(self.max_prob, "max_prob"))
+    bet: BetSpec = ruled(instance, BetSpec)
+    n_steps: int = ruled(count)
+    loss_kind: LossKind = ruled(instance, LossKind)
+    loss_threshold: float = ruled(_threshold, what="loss threshold")
+    max_prob: float = ruled(probability)
 
 
 @dataclass(frozen=True)
-class McBudget:
+class McBudget(Ruled):
     """Monte Carlo budget: number of paths and the root seed."""
 
-    n_paths: int
-    root_seed: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_paths", count(self.n_paths, "n_paths"))
-        object.__setattr__(self, "root_seed", root_seed(self.root_seed))
+    n_paths: int = ruled(count)
+    root_seed: int = ruled(root_seed)
 
 
 @dataclass(frozen=True)

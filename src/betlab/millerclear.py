@@ -29,54 +29,46 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (MAX_LENGTH, DomainError, NoClear, column, count, instance, integer, shown,
-                     within)
+from .errors import (MAX_LENGTH, DomainError, NoClear, Ruled, column, count, instance, integer,
+                     ruled, shown, within)
 from .seeding import stream
 
 
 @dataclass(frozen=True)
-class NormalOpinions:
+class NormalOpinions(Ruled):
     """Gaussian divergence of opinion around a consensus mean."""
 
-    mean: float
-    sd: float
-    truncate: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", within(self.mean, "mean", -math.inf, math.inf, "()"))
-        object.__setattr__(self, "sd", within(self.sd, "sd", 0, math.inf, "[)"))
-        instance(self.truncate, "truncate", bool)
+    mean: float = ruled(within, -math.inf, math.inf, "()")
+    sd: float = ruled(within, 0, math.inf, "[)")
+    truncate: bool = ruled(instance, bool, default=False)
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalOpinions:
+class EmpiricalOpinions(Ruled):
     """A concrete sample of buyer estimates, one per potential buyer, read-only."""
 
-    samples: np.ndarray
-    truncate: bool = False
+    samples: np.ndarray = ruled(column, float)
+    truncate: bool = ruled(instance, bool, default=False)
 
     def __post_init__(self) -> None:
-        samples = column(self.samples, "samples", float)
-        if instance(self.truncate, "truncate", bool):
-            samples = column(np.maximum(samples, 0.0), "samples", float)
-        object.__setattr__(self, "samples", samples)
+        super().__post_init__()
+        if self.truncate:
+            object.__setattr__(self, "samples", column(self.samples.clip(0), "samples", float))
 
 
 OpinionDistribution = NormalOpinions | EmpiricalOpinions
 
 
 @dataclass(frozen=True)
-class AuctionSpec:
+class AuctionSpec(Ruled):
     """N shares offered to M potential buyers, plus short-sold supply."""
 
-    n_shares: int
-    m_buyers: int
-    short_supply: int = 0
+    n_shares: int = ruled(integer, 0)
+    m_buyers: int = ruled(count)
+    short_supply: int = ruled(integer, 0, default=0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m_buyers", count(self.m_buyers, "m_buyers"))
-        object.__setattr__(self, "n_shares", integer(self.n_shares, "n_shares", 0))
-        object.__setattr__(self, "short_supply", integer(self.short_supply, "short_supply", 0))
+        super().__post_init__()
         if self.n_shares + self.short_supply < 1:
             raise DomainError("total supply must be at least one share")
 
@@ -114,7 +106,7 @@ def clearing_price(dist: OpinionDistribution, auction: AuctionSpec) -> float:
     Empirical mode requires exactly M samples and takes the order
     statistic directly.
     """
-    level = auction.quantile_level()
+    level = instance(auction, "auction", AuctionSpec).quantile_level()
     if isinstance(dist, NormalOpinions):
         from scipy.special import ndtri  # the kernel of scipy.stats.norm.ppf
 
@@ -138,6 +130,7 @@ def dispersion_sweep(
     sds = column(sds, "sds", float)
     if np.any(np.diff(sds) < 0):
         raise DomainError("sds must be nondecreasing")
+    instance(auction, "auction", AuctionSpec)
     return np.asarray([clearing_price(NormalOpinions(mean, sd), auction) for sd in sds])
 
 
@@ -146,6 +139,7 @@ def short_selling_effect(
 ) -> np.ndarray:
     """Clearing prices as short-sold supply is varied; nonincreasing in s.
     ``AuctionSpec`` checks each short supply."""
+    instance(auction, "auction", AuctionSpec)
     return np.asarray([
         clearing_price(dist, dataclasses.replace(auction, short_supply=s)) for s in short_supplies
     ])
@@ -162,7 +156,7 @@ def reauction_price(dist: EmpiricalOpinions, auction: AuctionSpec) -> float:
     a lower price.
     """
     instance(dist, "dist", EmpiricalOpinions)
-    if 2 * auction.supply > auction.m_buyers:
+    if 2 * instance(auction, "auction", AuctionSpec).supply > auction.m_buyers:
         raise NoClear(
             f"re-auction needs {shown(2 * auction.supply)} willing buyers, "
             f"only {shown(auction.m_buyers)} exist"

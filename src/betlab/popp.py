@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Mapping
 
 from .betmath import BetSpec, kelly_fraction
-from .errors import DomainError, instance, within
+from .errors import DomainError, Ruled, instance, ruled, within
 
 LEVELS = frozenset({"--", "-", "=", "+", "++", "?", "NA"})
 
@@ -59,27 +59,25 @@ class TransitionKind(Enum):
     RESTART = "restart"
 
 
+def _level(value: object, what: str) -> str:
+    if not (isinstance(value, str) and value in LEVELS):
+        raise DomainError(f"{what} must be one of {sorted(LEVELS)}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
-class StateVars:
+class StateVars(Ruled):
     """Qualitative levels of the nine lifecycle state variables."""
 
-    ret: str
-    vol: str
-    sr: str
-    spd: str
-    pop: str
-    lev: str
-    sdiv: str
-    slink: str
-    srob: str
-
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value not in LEVELS:
-                raise DomainError(
-                    f"{field.name} must be one of {sorted(LEVELS)}, got {value!r}"
-                )
+    ret: str = ruled(_level)
+    vol: str = ruled(_level)
+    sr: str = ruled(_level)
+    spd: str = ruled(_level)
+    pop: str = ruled(_level)
+    lev: str = ruled(_level)
+    sdiv: str = ruled(_level)
+    slink: str = ruled(_level)
+    srob: str = ruled(_level)
 
     @classmethod
     def from_tokens(cls, text: str) -> "StateVars":

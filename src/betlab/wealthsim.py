@@ -32,8 +32,8 @@ import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import (MAX_LENGTH, DomainError, column, count, fraction, instance, integer,
-                     root_seed, shown, within)
+from .errors import (MAX_LENGTH, DomainError, Ruled, column, count, fraction, instance, integer,
+                     root_seed, ruled, shown, within)
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -54,23 +54,15 @@ class LossKind(Enum):
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Ruled):
     """Fixed-fraction simulation instance."""
 
-    bet: BetSpec
-    f: float
-    n_steps: int
-    n_paths: int
-    root_seed: int
-    w0: float = 1.0
-
-    def __post_init__(self) -> None:
-        instance(self.bet, "bet", BetSpec)
-        object.__setattr__(self, "f", fraction(self.f))
-        object.__setattr__(self, "n_steps", count(self.n_steps, "n_steps"))
-        object.__setattr__(self, "n_paths", count(self.n_paths, "n_paths"))
-        object.__setattr__(self, "w0", within(self.w0, "initial wealth", 0, math.inf, "()"))
-        object.__setattr__(self, "root_seed", root_seed(self.root_seed))
+    bet: BetSpec = ruled(instance, BetSpec)
+    f: float = ruled(fraction, what="betting fraction")
+    n_steps: int = ruled(count)
+    n_paths: int = ruled(count)
+    root_seed: int = ruled(root_seed)
+    w0: float = ruled(within, 0, math.inf, "()", what="initial wealth", default=1.0)
 
 
 @dataclass(frozen=True, eq=False)

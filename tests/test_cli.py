@@ -419,6 +419,12 @@ class TestStats:
         assert run(["stats", "--input", str(path)]) == 1
         assert capsys.readouterr() == ("", "error: cumulative P&L overflows double precision\n")
 
+    def test_mean_overflow_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("period_id,side,pnl\n1,L,1e308\n2,L,1e308\n")
+        assert run(["stats", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: P&L sums overflow double precision\n")
+
     @pytest.mark.parametrize("end", ["\r", "\r\n"])
     def test_line_ends_read_as_newlines(self, capsys, trades_csv, tmp_path, end):
         # The file is opened with newline="", so csv and numpy split it alike.
@@ -527,6 +533,11 @@ class TestMiller:
         argv = ["miller", "--sds", "10", "--shares", "50", "--buyers", "10"]
         assert run(argv) == 1
         capsys.readouterr()
+
+    def test_first_bad_field_is_named(self, capsys):
+        # AuctionSpec declares n_shares before m_buyers.
+        assert run(["miller", "--sds", "1", "--shares", "-1", "--buyers", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: n_shares must lie in [0, inf), got -1\n")
 
 
 class TestPopp:

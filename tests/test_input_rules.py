@@ -67,6 +67,7 @@ from betlab.millerclear import (
     EmpiricalOpinions,
     NormalOpinions,
     clearing_price,
+    dispersion_sweep,
     reauction_price,
     sample_normal_opinions,
     short_selling_effect,
@@ -336,6 +337,29 @@ TYPE_SITES = {
     # Text entry points: only a string is parsed.
     "parse_strategy.text": (parse_strategy, "text must be a str", [5, b"coinflip"]),
     "StateVars.from_tokens.text": (StateVars.from_tokens, "text must be a str", [5, b"+"]),
+    # Miller's auction, where each entry point first reads it.
+    "clearing_price.auction": (
+        lambda v: clearing_price(NormalOpinions(50.0, 10.0), v),
+        "auction must be an AuctionSpec",
+        [(1, 3)],
+    ),
+    "dispersion_sweep.auction": (
+        lambda v: dispersion_sweep(50.0, [0.0, 1.0], v), "auction must be an AuctionSpec", [(1, 3)]
+    ),
+    "short_selling_effect.auction": (
+        lambda v: short_selling_effect(NormalOpinions(50.0, 10.0), v, []),
+        "auction must be an AuctionSpec",
+        [(1, 3)],
+    ),
+    "reauction_price.auction": (
+        lambda v: reauction_price(EmpiricalOpinions([50.0, 60.0, 70.0]), v),
+        "auction must be an AuctionSpec",
+        [(1, 3)],
+    ),
+    # A choice is a string before it is H or T: an array of them was once
+    # tested as a whole and raised numpy's "truth value ... is ambiguous".
+    "Fixed.choice": (Fixed, "choice must be a str", [np.array(["H", "T"]), 5]),
+    "Alternator.start": (Alternator, "start must be a str", [np.array(["H", "T"]), 5]),
 }
 TYPE_CASES = [
     (name, value)
@@ -1006,3 +1030,76 @@ def test_seed_env_message(monkeypatch):
         f"error: bad {SEED_ENV_VAR} value '{2**64}': "
         f"seed must lie in [0, {2**64 - 1}], got {2**64}\n"
     )
+
+
+# Valid arguments for each record whose fields declare their rules with
+# ``errors.ruled``; a ``Ruled`` subclass without a row fails below.
+RULED_ARGS = {
+    "AuctionSpec": dict(n_shares=1, m_buyers=3),
+    "BetSpec": dict(p=0.6, d=1.0),
+    "EmpiricalOpinions": dict(samples=[50.0, 60.0, 70.0]),
+    "GrationalProblem": dict(bet=BET, n_steps=10, loss_kind=DD, loss_threshold=0.5, max_prob=0.1),
+    "GrowthCurve": dict(fractions=[0.0, 0.1], rates=[0.0, 0.01]),
+    "McBudget": dict(n_paths=1000, root_seed=1),
+    "NormalOpinions": dict(mean=50.0, sd=10.0),
+    "SimConfig": dict(bet=BET, f=0.1, n_steps=2, n_paths=2, root_seed=1),
+    "StateVars": dict(ret="++", vol="+", sr="+", spd="-", pop="-", lev="-", sdiv="+",
+                      slink="?", srob="+"),
+}
+
+
+def ruled_records(base=errors.Ruled):
+    for record in base.__subclasses__():
+        yield record
+        yield from ruled_records(record)
+
+
+RULED = {record.__name__: record for record in ruled_records()}
+
+
+def ruled_fields(record) -> list[tuple[str, str]]:
+    """Each ruled field's name and the word its message starts with."""
+    rules = (field for field in dataclasses.fields(record) if "rule" in field.metadata)
+    return [(field.name, field.metadata["rule"][1] or field.name) for field in rules]
+
+
+def test_every_ruled_record_has_arguments():
+    assert set(RULED) - set(RULED_ARGS) == set()
+    for name, args in RULED_ARGS.items():
+        RULED[name](**args)
+
+
+@pytest.mark.parametrize("bad", [None, object(), []], ids=["None", "object", "list"])
+@pytest.mark.parametrize(
+    "name, field, word",
+    [pytest.param(name, field, word, id=f"{name}.{field}")
+     for name, record in sorted(RULED.items()) for field, word in ruled_fields(record)],
+)
+def test_ruled_field_refuses(name, field, word, bad):
+    with pytest.raises(DomainError, match=f"^{re.escape(word)} must "):
+        RULED[name](**{**RULED_ARGS[name], field: bad})
+
+
+@pytest.mark.parametrize("name", sorted(RULED))
+def test_first_declared_field_is_named(name):
+    fields = ruled_fields(RULED[name])
+    with pytest.raises(DomainError, match=f"^{re.escape(fields[0][1])} must "):
+        RULED[name](**{**RULED_ARGS[name], **{field: None for field, _ in fields}})
+
+
+# Two bad fields, in a record whose checks once ran in another order.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AuctionSpec(-1, 0), "n_shares must lie in [0, inf), got -1"),
+        (
+            lambda: SimConfig(BET, 0.1, 2, 2, -1, w0=0),
+            "root_seed must lie in [0, 18446744073709551615], got -1",
+        ),
+    ],
+    ids=["AuctionSpec", "SimConfig"],
+)
+def test_two_faults_name_the_first_declared(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message

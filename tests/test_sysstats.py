@@ -218,6 +218,12 @@ class TestSummarize:
         with pytest.raises(DomainError, match="^cumulative P&L overflows double precision$"):
             summarize(series, Filter.ALL)
 
+    def test_mean_overflow_rejected(self):
+        # Two P&L of 1e308 sum past DBL_MAX, so their mean is not finite.
+        series = series_of(("L", 1e308), ("L", 1e308))
+        with pytest.raises(DomainError, match="^P&L sums overflow double precision$"):
+            summarize(series, Filter.ALL)
+
     def test_empty_filter_rejected(self):
         with pytest.raises(EmptySelection):
             summarize(series_of(("L", 1.0)), Filter.SHORT)
