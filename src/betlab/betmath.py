@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import (DomainError, NoPositiveRoot, Ruled, column, fraction, instance,
+from .errors import (DomainError, NoPositiveRoot, Ruled, SizeOf, column, fraction, instance,
                      probability, ruled, within)
 
 if TYPE_CHECKING:
@@ -50,22 +50,22 @@ class BetSpec(Ruled):
         return 1.0 - self.p
 
 
+def _fractions(value: object, what: str) -> np.ndarray:
+    """A column of betting fractions in [0, 1), strictly increasing."""
+    fractions = column(value, what, float)
+    if not ((fractions >= 0) & (fractions < 1)).all():
+        raise DomainError(f"{what} must lie in [0, 1)")
+    if (fractions[1:] <= fractions[:-1]).any():
+        raise DomainError(f"{what} must be strictly increasing")
+    return fractions
+
+
 @dataclass(frozen=True, eq=False)
 class GrowthCurve(Ruled):
     """Finite asymptotic growth rates on an increasing grid of fractions, both read-only."""
 
-    fractions: np.ndarray = ruled(column, float)
-    rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        import numpy as np  # here and in growth_curve, so the scalar rules load no numpy
-
-        super().__post_init__()
-        if not np.all((self.fractions >= 0) & (self.fractions < 1)):
-            raise DomainError("fractions must lie in [0, 1)")
-        if np.any(np.diff(self.fractions) <= 0):
-            raise DomainError("fractions must be strictly increasing")
-        object.__setattr__(self, "rates", column(self.rates, "rates", float, self.fractions.size))
+    fractions: np.ndarray = ruled(_fractions)
+    rates: np.ndarray = ruled(column, float, SizeOf("fractions"))
 
     def argmax_fraction(self) -> float:
         """Grid fraction with the largest growth rate."""
@@ -161,7 +161,7 @@ def mixed_sequence_fractions(
     offending index.
     """
     fractions = []
-    for i, bet in enumerate(bets):
+    for i, bet in enumerate(instance(bets, "bets", Iterable)):
         try:
             if not isinstance(bet, BetSpec):
                 bet = BetSpec(*bet)

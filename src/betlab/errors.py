@@ -10,6 +10,8 @@ argument is checked by type with :func:`instance`.
 A record states each field's rule where it declares the field, with
 :func:`ruled`, and subclasses :class:`Ruled`, which applies the rules in
 declaration order: of two bad fields, the one declared first is named.
+A column whose length follows an earlier column's takes :class:`SizeOf`
+that column as its size, so a record of columns declares them all.
 """
 
 import dataclasses
@@ -69,18 +71,30 @@ def instance(value: object, what: str, *types: type) -> object:
 
 def ruled(rule, *args: object, what: str | None = None, default: object = dataclasses.MISSING):
     """A dataclass field that :class:`Ruled` checks with ``rule(value, what,
-    *args)``; ``what``, the word of its message, defaults to the field's name."""
+    *args)``; ``what``, the word of its message, defaults to the field's name,
+    and a :class:`SizeOf` argument stands for an earlier field's size."""
     return dataclasses.field(default=default, metadata={"rule": (rule, what, args)})
+
+
+@dataclasses.dataclass(frozen=True)
+class SizeOf:
+    """A :func:`ruled` argument: the size of the earlier field ``name``, less ``less``."""
+
+    name: str
+    less: int = 0
 
 
 class Ruled:
     """Base of a frozen dataclass: each :func:`ruled` field is checked in
-    declaration order and holds what its rule returns."""
+    declaration order and holds what its rule returns, so a :class:`SizeOf`
+    reads a field that is already checked."""
 
     def __post_init__(self) -> None:
         for field in self.__dataclass_fields__.values():
             if "rule" in field.metadata:
                 rule, what, args = field.metadata["rule"]
+                args = [getattr(self, a.name).size - a.less if type(a) is SizeOf else a
+                        for a in args]
                 value = rule(getattr(self, field.name), what or field.name, *args)
                 object.__setattr__(self, field.name, value)
 

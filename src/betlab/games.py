@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
 from . import render
-from .errors import (MAX_LENGTH, DomainError, column, count, instance, integer, probability,
-                     shown, within)
+from .errors import (MAX_LENGTH, DomainError, Ruled, SizeOf, column, count, instance, integer,
+                     probability, ruled, shown, within)
 from .seeding import stream
 
 H = "H"
@@ -40,33 +40,29 @@ _CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
-class GameTranscript:
+class GameTranscript(Ruled):
     """A match's two choice columns (H or T, one entry per round) and terms.
     The gains follow by the payoff rule: player 1 wins the stake on a match,
     player 2 on a mismatch, and each pays half the rake every round.  The
     four columns are read-only."""
 
-    choices1: np.ndarray
-    choices2: np.ndarray
-    stake: float
-    rake: float = 0.0
+    choices1: np.ndarray = ruled(column)
+    choices2: np.ndarray = ruled(column, None, SizeOf("choices1"))
+    stake: float = ruled(within, 0, math.inf, "()")
+    rake: float = ruled(within, 0, math.inf, "[)", default=0.0)
     gains1: np.ndarray = field(init=False)
     gains2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        c1 = column(self.choices1, "choices1")
-        c2 = column(self.choices2, "choices2", size=c1.size)
-        _, stake, rake = _check_match(c1.size, self.stake, self.rake)
-        for name, choices in (("choices1", c1), ("choices2", c2)):
+        super().__post_init__()
+        _check_match(self.n_rounds, self.stake, self.rake)  # their total must not overflow
+        for name, choices in (("choices1", self.choices1), ("choices2", self.choices2)):
             bad = choices[(choices != H) & (choices != T)]
             if bad.size:
                 _choice(str(bad[0]), name)  # refuses it
-            object.__setattr__(self, name, choices)
-        object.__setattr__(self, "stake", stake)
-        object.__setattr__(self, "rake", rake)
-        match, half_rake = c1 == c2, rake / 2.0
+        match, half_rake = self.choices1 == self.choices2, self.rake / 2.0
         for name, win in (("gains1", match), ("gains2", ~match)):
-            gains = np.where(win, stake, -stake) - half_rake
+            gains = np.where(win, self.stake, -self.stake) - half_rake
             object.__setattr__(self, name, column(gains, name, float))
 
     @property
@@ -311,7 +307,7 @@ def frequency_exploiter(
 ) -> str:
     """Stateless form of the exploiter: next choice given opponent history."""
     seat = FrequencyExploiter(k=k).begin(stream(0), player, 1)
-    for choice in history:
+    for choice in instance(history, "history", Iterable):
         seat.observe(_choice(choice, "history entries"))
     return seat.choose()
 

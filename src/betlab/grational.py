@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .betmath import BetSpec
-from .errors import (BudgetError, InfeasibleThreshold, Ruled, column, count, fraction, instance,
-                     probability, root_seed, ruled, within)
+from .errors import (BudgetError, InfeasibleThreshold, Ruled, SizeOf, column, count, fraction,
+                     instance, probability, root_seed, ruled, within)
 from .wealthsim import LossKind, outcome_matrix, outcome_size, path_losses
 
 _MIN_PATHS = 1000
@@ -107,25 +107,17 @@ class McEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class GrationalGrid:
+class GrationalGrid(Ruled):
     """Per-fraction estimates across the search grid (ascending f): five
     finite float columns and the bool ``feasible``, all read-only and of
     one length."""
 
-    f: np.ndarray
-    e_growth: np.ndarray
-    se_growth: np.ndarray
-    p_violation: np.ndarray
-    se_violation: np.ndarray
-    feasible: np.ndarray
-
-    def __post_init__(self) -> None:
-        size = None  # f's, once it is checked
-        for name in (field.name for field in fields(self)):
-            dtype = bool if name == "feasible" else float
-            array = column(getattr(self, name), name, dtype, size)
-            object.__setattr__(self, name, array)
-            size = array.size
+    f: np.ndarray = ruled(column, float)
+    e_growth: np.ndarray = ruled(column, float, SizeOf("f"))
+    se_growth: np.ndarray = ruled(column, float, SizeOf("f"))
+    p_violation: np.ndarray = ruled(column, float, SizeOf("f"))
+    se_violation: np.ndarray = ruled(column, float, SizeOf("f"))
+    feasible: np.ndarray = ruled(column, bool, SizeOf("f"))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -140,6 +140,8 @@ def short_selling_effect(
     """Clearing prices as short-sold supply is varied; nonincreasing in s.
     ``AuctionSpec`` checks each short supply."""
     instance(auction, "auction", AuctionSpec)
+    instance(dist, "dist", NormalOpinions, EmpiricalOpinions)
+    instance(short_supplies, "short_supplies", Iterable)
     return np.asarray([
         clearing_price(dist, dataclasses.replace(auction, short_supply=s)) for s in short_supplies
     ])

@@ -184,7 +184,7 @@ def kelly_multiplier(
     Eureka = EarlyCopycat > LateCopycat > Crash, all within [0, 1].
     """
     instance(phase, "phase", Phase)
-    table = DEFAULT_MULTIPLIERS if schedule is None else schedule
+    table = DEFAULT_MULTIPLIERS if schedule is None else instance(schedule, "schedule", Mapping)
     if set(table) != set(Phase):
         raise DomainError("schedule must cover exactly the four phases")
     table = {p: within(table[p], f"{p.value} multiplier", 0, 1) for p in Phase}

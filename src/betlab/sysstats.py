@@ -44,12 +44,12 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from . import render
-from .errors import DomainError, EmptySelection, column, instance, within
+from .errors import DomainError, EmptySelection, Ruled, SizeOf, column, instance, ruled, within
 from .tails import ndtr, t_pvalue
 from .wealthsim import LossKind, path_losses
 
@@ -96,7 +96,7 @@ class Ppgs(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class TradeSeries:
+class TradeSeries(Ruled):
     """Ordered periods as three read-only columns of one length, at least one.
 
     ``period_id`` holds Python ints of any size (object dtype), strictly
@@ -107,14 +107,13 @@ class TradeSeries:
     an enum member is rejected, never converted through ``str``.
     """
 
-    period_id: np.ndarray
-    side: np.ndarray
-    pnl: np.ndarray
+    period_id: np.ndarray = ruled(column, int)
+    side: np.ndarray = ruled(column, None, SizeOf("period_id"))
+    pnl: np.ndarray = ruled(column, float, SizeOf("period_id"))
 
     def __post_init__(self) -> None:
-        ids = column(self.period_id, "period_id", int)
-        side = column(self.side, "side", size=ids.size)
-        pnl = column(self.pnl, "pnl", float, ids.size)
+        super().__post_init__()
+        ids, side, pnl = self.period_id, self.side, self.pnl
         if not (side.dtype.kind == "U" and np.isin(side, _SIDES).all()):
             raise DomainError("sides must be one of L,S,F")
         if np.any(ids[1:] <= ids[:-1]):
@@ -123,9 +122,6 @@ class TradeSeries:
         if flat.any():
             k = int(flat.argmax())
             raise DomainError(f"flat period {ids[k]} carries pnl {float(pnl[k])}")
-        object.__setattr__(self, "period_id", ids)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "pnl", pnl)
 
     def __len__(self) -> int:
         return self.pnl.size
@@ -404,6 +400,7 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
 def format_summary_text(rows: Sequence[tuple[str, SummaryRow]]) -> str:
     """Aligned text table in the canonical column order, one row per label."""
     header = ["", *SUMMARY_COLUMNS]
+    instance(rows, "rows", Iterable)
     body = [[label, *map(render.cell, display_fields(row).values())] for label, row in rows]
     widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
     lines = [

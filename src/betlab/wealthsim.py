@@ -26,14 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from . import render
 from .betmath import BetSpec
-from .errors import (MAX_LENGTH, DomainError, Ruled, column, count, fraction, instance, integer,
-                     root_seed, ruled, shown, within)
+from .errors import (MAX_LENGTH, DomainError, Ruled, SizeOf, column, count, fraction, instance,
+                     integer, root_seed, ruled, shown, within)
 from .seeding import stream
 
 # A path is flagged ruined once wealth falls below this multiple of the
@@ -66,16 +66,11 @@ class SimConfig(Ruled):
 
 
 @dataclass(frozen=True, eq=False)
-class WealthPath:
+class WealthPath(Ruled):
     """One simulated path: ``n+1`` log-wealth values and ``n`` win flags, read-only."""
 
-    log_wealth: np.ndarray
-    outcomes: np.ndarray
-
-    def __post_init__(self) -> None:
-        lw = column(self.log_wealth, "log_wealth", float)
-        object.__setattr__(self, "log_wealth", lw)
-        object.__setattr__(self, "outcomes", column(self.outcomes, "outcomes", bool, lw.size - 1))
+    log_wealth: np.ndarray = ruled(column, float)
+    outcomes: np.ndarray = ruled(column, bool, SizeOf("log_wealth", 1))
 
     @property
     def n_steps(self) -> int:
@@ -230,7 +225,7 @@ def write_paths_csv(paths: Sequence[WealthPath], fh: IO[str]) -> None:
     # Per path length: step 0's line, and each later step's line after a loss
     # and after a win, all without the path id, which the join puts before each.
     lines = {}
-    for k, path in enumerate(paths):
+    for k, path in enumerate(instance(paths, "paths", Iterable)):
         size = instance(path, "path", WealthPath).log_wealth.size
         if size not in lines:
             lines[size] = f",0,{render.FLOAT},\n", [

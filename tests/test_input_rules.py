@@ -79,6 +79,7 @@ from betlab.popp import (
     classify_phase,
     kelly_multiplier,
     legal_transitions,
+    scaled_fraction,
 )
 from betlab.seeding import stream
 from betlab.sysstats import (
@@ -360,6 +361,12 @@ TYPE_SITES = {
     # tested as a whole and raised numpy's "truth value ... is ambiguous".
     "Fixed.choice": (Fixed, "choice must be a str", [np.array(["H", "T"]), 5]),
     "Alternator.start": (Alternator, "start must be a str", [np.array(["H", "T"]), 5]),
+    # Checked even when there are no short supplies to price.
+    "short_selling_effect.dist": (
+        lambda v: short_selling_effect(v, AuctionSpec(1, 3), []),
+        "dist must be a NormalOpinions or EmpiricalOpinions",
+        [[50.0, 60.0, 70.0]],
+    ),
 }
 TYPE_CASES = [
     (name, value)
@@ -1038,6 +1045,9 @@ RULED_ARGS = {
     "AuctionSpec": dict(n_shares=1, m_buyers=3),
     "BetSpec": dict(p=0.6, d=1.0),
     "EmpiricalOpinions": dict(samples=[50.0, 60.0, 70.0]),
+    "GameTranscript": dict(choices1=["H", "T"], choices2=["T", "T"], stake=1.0),
+    "GrationalGrid": dict(f=[0.0, 0.1], e_growth=[0.0, 0.01], se_growth=[0.0, 0.0],
+                          p_violation=[0.0, 0.2], se_violation=[0.0, 0.0], feasible=[True, False]),
     "GrationalProblem": dict(bet=BET, n_steps=10, loss_kind=DD, loss_threshold=0.5, max_prob=0.1),
     "GrowthCurve": dict(fractions=[0.0, 0.1], rates=[0.0, 0.01]),
     "McBudget": dict(n_paths=1000, root_seed=1),
@@ -1045,6 +1055,8 @@ RULED_ARGS = {
     "SimConfig": dict(bet=BET, f=0.1, n_steps=2, n_paths=2, root_seed=1),
     "StateVars": dict(ret="++", vol="+", sr="+", spd="-", pop="-", lev="-", sdiv="+",
                       slink="?", srob="+"),
+    "TradeSeries": dict(period_id=[1, 2], side=["L", "S"], pnl=[1.0, -0.5]),
+    "WealthPath": dict(log_wealth=[0.0, 0.1], outcomes=[True]),
 }
 
 
@@ -1096,10 +1108,64 @@ def test_first_declared_field_is_named(name):
             lambda: SimConfig(BET, 0.1, 2, 2, -1, w0=0),
             "root_seed must lie in [0, 18446744073709551615], got -1",
         ),
+        # A later column's size is read from the first, which is checked whole before it.
+        (lambda: WealthPath([0.0, math.nan], [2]), "log_wealth must be finite, got nan at index 1"),
+        (
+            lambda: GrationalGrid([0.0, 0.1], [0.0, math.inf], [0.0], [0.0], [0.0], [True]),
+            "e_growth must be finite, got inf at index 1",
+        ),
+        (
+            lambda: TradeSeries([2, 1], ["Q", "L"], [1.0]),
+            "pnl must be a 1-d sequence of 2 real entries, got shape (1,) of float64",
+        ),
+        (lambda: GameTranscript(["X"], ["H"], -1), "stake must lie in (0, inf), got -1"),
+        (lambda: GrowthCurve([0.5, 0.2], [0.0]), "fractions must be strictly increasing"),
     ],
-    ids=["AuctionSpec", "SimConfig"],
+    ids=["AuctionSpec", "SimConfig", "WealthPath", "GrationalGrid", "TradeSeries",
+         "GameTranscript", "GrowthCurve"],
 )
 def test_two_faults_name_the_first_declared(build, message):
     with pytest.raises(DomainError) as info:
         build()
     assert str(info.value) == message
+
+
+# Collection arguments that once raised TypeError ("... is not iterable"):
+# the site, the start of its message and the values it refuses.  A string
+# is iterable, so only a schedule refuses one; None is the default schedule.
+COLLECTION_SITES = {
+    "short_selling_effect.short_supplies": (
+        lambda v: short_selling_effect(NormalOpinions(50.0, 10.0), AuctionSpec(1, 3), v),
+        "short_supplies must be an Iterable",
+        [None, 5],
+    ),
+    "mixed_sequence_fractions.bets": (mixed_sequence_fractions, "bets must be an Iterable", [None, 5]),
+    "frequency_exploiter.history": (frequency_exploiter, "history must be an Iterable", [None, 5]),
+    "kelly_multiplier.schedule": (
+        lambda v: kelly_multiplier(Phase.CRASH, v),
+        "schedule must be a Mapping",
+        [5, "x", list(DEFAULT_MULTIPLIERS.items())],
+    ),
+    "scaled_fraction.schedule": (
+        lambda v: scaled_fraction(Phase.CRASH, BET, v), "schedule must be a Mapping", [5, "x"]
+    ),
+    "format_summary_text.rows": (format_summary_text, "rows must be an Iterable", [None, 5]),
+    "write_paths_csv.paths": (
+        lambda v: write_paths_csv(v, io.StringIO()), "paths must be an Iterable", [None, 5]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [(name, value) for name, (_, _, values) in COLLECTION_SITES.items() for value in values],
+)
+def test_collections(name, value):
+    site, start, _ = COLLECTION_SITES[name]
+    with pytest.raises(DomainError, match=f"^{re.escape(start)}, got {re.escape(repr(value))}$"):
+        site(value)
+
+
+def test_short_selling_effect_without_supplies():
+    prices = short_selling_effect(NormalOpinions(50.0, 10.0), AuctionSpec(1, 3), [])
+    assert prices.shape == (0,)
