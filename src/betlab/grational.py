@@ -35,9 +35,16 @@ The outcome matrix is never held whole.  Path k depends only on
 ``(root_seed, k)``, so the solver draws it in blocks of
 ``_BLOCK_CELLS // (n_steps + 1)`` rows (at least one) just before the
 kernel reads each block, with the same bits.  Memory is one block's
-working set (about 1.2 MB of scratch) plus the first violating index and
-final win count of every path: it grows with ``n_paths``, not with
-``n_paths * n_steps``.
+working set (prefix counts, log wealth and a scratch buffer: 20 bytes a
+cell, about 1.3 MB) plus the first violating index and final win count of
+every path: it grows with ``n_paths``, not with ``n_paths * n_steps``.
+
+The working set's layout follows the block's shape.  numpy runs each
+operation along the contiguous axis, so a block of short paths (the README
+problem: 1285 paths of 51 points) is stored step-major, and each ufunc call
+then covers all of a step's paths at once rather than one 51-cell row.  A
+block of long paths (the 10^4-step horizon: 6 paths of 10001 points) is
+stored path by path.  The kernel's code is the same for both layouts.
 
 Feasibility is judged on the point estimate (estimate <= max_prob); the
 ±2 s.e. band is reported alongside for the caller to interpret.  Finite
@@ -155,16 +162,19 @@ def _first_hits(
     count.  Each path's loss is nondecreasing in f, so its hits on the grid
     are a suffix: bisect for the first one, in (lo, hi], on all paths of a
     block at once.  The blocks are the outcome matrix's rows in order; a
-    block's working set stays in cache, and the scratch arrays are sized by
-    the largest block.
+    block's working set stays in cache, and the scratch arrays are sized and
+    laid out by the largest block so far.
     """
     first, last = [], []
     counts = np.empty((0, 0), dtype=np.int32)
     for block in blocks:
         m, n_steps = block.shape
         if counts.shape[0] < m:
-            counts = np.zeros((m, n_steps + 1), dtype=np.int32)
-            lw, scratch = np.empty(counts.shape), np.empty(counts.shape)
+            # Step-major ("F") when paths outnumber points, so that each ufunc
+            # call runs along a contiguous vector of paths, not a short row.
+            order = "F" if m > n_steps + 1 else "C"
+            counts = np.zeros((m, n_steps + 1), dtype=np.int32, order=order)
+            lw, scratch = np.empty(counts.shape, order=order), np.empty(counts.shape, order=order)
             steps = np.arange(n_steps + 1, dtype=float)
         c, w, s = counts[:m], lw[:m], scratch[:m]
         np.cumsum(block, axis=1, out=c[:, 1:])

@@ -107,7 +107,7 @@ class _KeyedSeedSequence:
         return self._seq
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:
+        if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
             return self._words
         return self._full().generate_state(n_words, dtype)
 
@@ -130,9 +130,12 @@ def stream(root_seed: int, *key: int) -> np.random.Generator:
     nonnegative integer; numpy integers are accepted.
     """
     seed = errors.root_seed(root_seed)
-    key = tuple([integer(k, "stream key", 0) for k in key])
-    if len(key) == 1 and key[0] < 2**32:
-        (k,) = key
-        seq = _KeyedSeedSequence(seed, k, _seed_words(seed, k // _BLOCK)[k % _BLOCK])
-        return np.random.Generator(np.random.PCG64(seq))
+    if len(key) == 1:
+        k = integer(key[0], "stream key", 0)
+        if k < 2**32:
+            seq = _KeyedSeedSequence(seed, k, _seed_words(seed, k // _BLOCK)[k % _BLOCK])
+            return np.random.Generator(np.random.PCG64(seq))
+        key = (k,)
+    else:
+        key = tuple([integer(k, "stream key", 0) for k in key])
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

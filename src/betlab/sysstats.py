@@ -49,7 +49,8 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from . import render
-from .errors import DomainError, EmptySelection, Ruled, SizeOf, column, instance, ruled, within
+from .errors import (DomainError, EmptySelection, Ruled, SizeOf, column, instance, ruled, shown,
+                     within)
 from .tails import ndtr, t_pvalue
 from .wealthsim import LossKind, path_losses
 
@@ -398,10 +399,20 @@ def display_fields(row: SummaryRow) -> dict[str, float | int | None]:
 
 
 def format_summary_text(rows: Sequence[tuple[str, SummaryRow]]) -> str:
-    """Aligned text table in the canonical column order, one row per label."""
+    """Aligned text table in the canonical column order, one row per label.
+
+    Each entry of ``rows`` is a ``(label, SummaryRow)`` pair, a tuple or a
+    list, with a ``str`` label; any other entry is refused.
+    """
     header = ["", *SUMMARY_COLUMNS]
-    instance(rows, "rows", Iterable)
-    body = [[label, *map(render.cell, display_fields(row).values())] for label, row in rows]
+    body = []
+    for i, entry in enumerate(instance(rows, "rows", Iterable)):
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise DomainError(
+                f"rows entry {i} must be a (str, SummaryRow) pair, got {shown(entry, repr)}"
+            )
+        label, row = entry
+        body.append([label, *map(render.cell, display_fields(row).values())])
     widths = [max(len(line[i]) for line in [header, *body]) for i in range(len(header))]
     lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(line, widths)).rstrip()

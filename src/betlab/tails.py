@@ -22,6 +22,9 @@ near scipy's own; it is not scipy's value bit for bit.
 from __future__ import annotations
 
 import math
+import sys
+
+from .errors import real, within
 
 # Cephes ndtr.c: erfc on [1, 8) is P/Q, on [8, inf) R/S; erf on [0, 1) is x T/U.
 # _polevl evaluates them all: Q, S and U store the 1 that Cephes' p1evl implies.
@@ -81,6 +84,7 @@ def _erfc(x: float) -> float:
 
 def ndtr(a: float) -> float:
     """The standard normal CDF at ``a``, bit for bit ``scipy.special.ndtr``."""
+    a = real(a, "a")
     if math.isnan(a):
         return math.nan
     x = a * _SQRT1_2
@@ -141,9 +145,11 @@ def _beta_fraction(a: float, b: float, x: float, y: float, lam: float) -> float 
 
 
 def t_pvalue(t: float, df: float) -> float | None:
-    """Two-sided p-value of ``t`` with ``df > 0`` degrees of freedom,
+    """Two-sided p-value of ``t`` with ``df`` degrees of freedom,
     ``P[|T| >= |t|]``; None when the continued fraction does not converge
-    (as for a ``t`` whose square overflows)."""
+    (as for a ``t`` whose square overflows).  ``df`` is a finite float of at
+    least ``sys.float_info.min``: half of a subnormal one underflows to 0."""
+    t, df = real(t, "t"), within(df, "df", sys.float_info.min, math.inf, "[)")
     ratio = t * t / df  # (1 - x) / x
     if ratio == 0.0:
         return 1.0

@@ -40,6 +40,10 @@ from .seeding import stream
 # starting capital; the discrete model never reaches exactly zero for f < 1.
 DEFAULT_RUIN_FLOOR = 1e-9
 
+# Uniform draws held at a time (32 KB of float64): outcome_matrix fills a
+# chunk of rows, one stream per row, and compares the chunk at once.
+_DRAW_CELLS = 1 << 12
+
 # CSV cells of a loss and a win.
 _OUTCOME_CELLS = ("0", "1")
 
@@ -109,13 +113,23 @@ def outcome_matrix(
     block needs the memory of one block.  Outcomes do not depend on the
     betting fraction, so one matrix can be reused across fractions (the
     common-random-numbers contract used by the grational solver).
+
+    Each row's stream fills its row of a small float buffer in place
+    (``_DRAW_CELLS`` cells, or one row when a row is longer), and each
+    buffer of rows is compared with ``p`` at once, straight into the
+    matrix.  The bits are those of drawing and comparing row by row.
     """
     instance(bet, "bet", BetSpec)
     n_steps, n_paths = outcome_size(n_steps, n_paths)
     first = integer(first, "first path", 0)
     wins = np.empty((n_paths, n_steps), dtype=bool)
-    for i in range(n_paths):
-        wins[i] = stream(root_seed, first + i).random(n_steps) < bet.p
+    rows = max(1, _DRAW_CELLS // n_steps)
+    draws = np.empty((min(rows, n_paths), n_steps))
+    for start in range(0, n_paths, rows):
+        chunk = draws[: n_paths - start]
+        for key, row in enumerate(chunk, first + start):
+            stream(root_seed, key).random(out=row)
+        np.less(chunk, bet.p, out=wins[start : start + len(chunk)])
     return wins
 
 
@@ -136,18 +150,47 @@ def simulate_paths(config: SimConfig) -> list[WealthPath]:
     return [WealthPath(log_wealth=lw[k], outcomes=wins[k]) for k in range(config.n_paths)]
 
 
+def _got(value: object) -> str:
+    """How a refused array argument is named: an array by shape and dtype."""
+    if isinstance(value, np.ndarray):
+        return f"shape {value.shape} of {value.dtype}"
+    return shown(value, repr)
+
+
 def path_losses(
     lw: np.ndarray, kind: LossKind, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Worst loss or drawdown of log wealth over its last axis.
 
-    ``lw[..., 0]`` is the start.  Drawdown writes the running peak into
-    ``out``, a scratch buffer of ``lw``'s shape, or into a new array.
+    ``lw`` is a real ndarray and ``lw[..., 0]`` is the start.  Drawdown
+    writes the running peak into ``out``, a float scratch buffer of ``lw``'s
+    shape, or into a new array.  The peak is ``np.maximum.accumulate`` along
+    the last axis, except for a 2-d ``lw`` whose paths outnumber its points
+    and lie next to each other in memory (step-major, as the grational
+    kernel stores them): there accumulate would walk the paths one at a
+    time, so the peak advances one step at a time over the whole vector of
+    paths.  Both give the same bits.
     """
+    if not (isinstance(lw, np.ndarray) and lw.dtype.kind in "iuf" and lw.ndim and lw.shape[-1]):
+        raise DomainError(
+            f"lw must be a real ndarray with at least one point on its last axis, got {_got(lw)}"
+        )
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.dtype.kind == "f" and out.shape == lw.shape
+    ):
+        raise DomainError(
+            f"out must be None or a float ndarray of shape {lw.shape}, got {_got(out)}"
+        )
     if kind is LossKind.WORST_LOSS:
         return lw[..., 0] - lw.min(axis=-1)
     instance(kind, "loss_kind", LossKind)  # the one other member is DRAWDOWN
-    peak = np.maximum.accumulate(lw, axis=-1, out=out)
+    if lw.ndim == 2 and lw.strides[0] == lw.itemsize and lw.shape[0] > lw.shape[1]:
+        peak = np.empty_like(lw) if out is None else out
+        peak[:, 0] = lw[:, 0]
+        for s in range(1, lw.shape[1]):
+            np.maximum(peak[:, s - 1], lw[:, s], out=peak[:, s])
+    else:
+        peak = np.maximum.accumulate(lw, axis=-1, out=out)
     peak -= lw
     return peak.max(axis=-1)
 

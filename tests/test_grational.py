@@ -435,6 +435,46 @@ class TestFirstViolationSearch:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
+    def test_short_path_solve_memory(self):
+        # The README problem: 20000 paths of 50 steps, in blocks of 1285
+        # paths stored step-major.  The peak is the kernel's scratch (about
+        # 1.3 MB), one block of seed words, and a first index and final win
+        # count per path.
+        problem = GrationalProblem(BET, 50, LossKind.DRAWDOWN, 0.5, 0.1)
+        solve(GrationalProblem(BET, 10, LossKind.DRAWDOWN, 0.5, 0.1), McBudget(1000, 1))
+        seeding._seed_words.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(problem, McBudget(20_000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("extra, step_major", [(1, False), (2, True)])
+    def test_block_layouts_match_brute_force(self, kind, extra, step_major, monkeypatch):
+        # A block of n_steps + 1 paths is stored path by path, one of
+        # n_steps + 2 step-major; the smaller block after it reuses the
+        # scratch arrays in their layout.
+        layouts = set()
+        path_losses = grational.path_losses
+
+        def recording(lw, *args):
+            layouts.add(lw.strides[0] == lw.itemsize)
+            return path_losses(lw, *args)
+
+        monkeypatch.setattr(grational, "path_losses", recording)
+        n_steps = 40
+        problem = GrationalProblem(BET, n_steps, kind, 0.3, 0.1)
+        wins = outcome_matrix(BET, n_steps, n_steps + extra + 3, 11)
+        fractions = np.arange(100) * 0.01
+        grid = grational._grid_stats(problem, np.split(wins, [n_steps + extra]), fractions)
+        assert layouts == {step_major}
+        expected = brute_force_grid(problem, wins, fractions)
+        for field in GRID_FIELDS:
+            assert np.array_equal(getattr(grid, field), getattr(expected, field)), field
+
     @pytest.mark.parametrize("kind", list(LossKind))
     def test_log_wealth_passes_bounded_by_grid_bits(self, kind, monkeypatch):
         rows = []

@@ -92,6 +92,7 @@ from betlab.sysstats import (
     runs_test,
     summarize,
 )
+from betlab.tails import ndtr, t_pvalue
 from betlab.wealthsim import (
     SimConfig,
     WealthPath,
@@ -367,6 +368,22 @@ TYPE_SITES = {
         "dist must be a NormalOpinions or EmpiricalOpinions",
         [[50.0, 60.0, 70.0]],
     ),
+    # The drawdown kernel reads lw's strides.  A number once raised numpy's
+    # TypeError ("cannot accumulate on a scalar").
+    "path_losses.lw": (
+        lambda v: path_losses(v, DD),
+        "lw must be a real ndarray with at least one point on its last axis",
+        [[0.0, 1.0], 5.0],
+    ),
+    # An entry that is not a (label, row) pair once failed to unpack.
+    "format_summary_text.entry": (
+        lambda v: format_summary_text([v]),
+        "rows entry 0 must be a (str, SummaryRow) pair",
+        [5, ("All",), (5, SERIES), ("All", SERIES, "x")],
+    ),
+    "ndtr.a": (ndtr, "a must be a real number", [1j, b"1"]),
+    "t_pvalue.t": (lambda v: t_pvalue(v, 3), "t must be a real number", [1j, b"1"]),
+    "t_pvalue.df": (lambda v: t_pvalue(1.0, v), "df must be a real number", [1j, b"1"]),
 }
 TYPE_CASES = [
     (name, value)
@@ -416,6 +433,8 @@ RANGE_SITES = {
         1,
         "[]",
     ),
+    # df = 0 once raised ZeroDivisionError, and df = 5e-324 lgamma's ValueError.
+    "t_pvalue.df": (lambda v: t_pvalue(1.0, v), sys.float_info.min, INF, "[)"),
 }
 MAX = errors.MAX_LENGTH
 # Integer arguments checked by ``errors.integer``: the site, then the
@@ -1169,3 +1188,14 @@ def test_collections(name, value):
 def test_short_selling_effect_without_supplies():
     prices = short_selling_effect(NormalOpinions(50.0, 10.0), AuctionSpec(1, 3), [])
     assert prices.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "rows, got", [("x", "'x'"), ([math.nan], "nan"), (np.array([1.0]), repr(np.float64(1.0)))]
+)
+def test_format_summary_text_refuses_entries_that_are_not_pairs(rows, got):
+    # A string or a float array is an Iterable, but its entries once
+    # failed to unpack with ValueError or TypeError.
+    message = f"rows entry 0 must be a (str, SummaryRow) pair, got {got}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        format_summary_text(rows)

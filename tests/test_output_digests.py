@@ -258,6 +258,13 @@ CASES = {
         [*DRAWDOWN, "--format", "csv"],
         "19fd36783ea6d239e98d2a7f65b99069071c786fd05bea6a7da68fd9cb26d9d9",
     ),
+    # Blocks of 32 paths of 2000 steps: the kernel keeps them path by path.
+    "grational-long-drawdown-csv": (
+        ["grational", "--p", "0.6", "--d", "1", "--steps", "2000", "--loss", "drawdown",
+         "--threshold", "0.5", "--max-prob", "0.1", "--paths", "1000", "--seed", "4",
+         "--format", "csv"],
+        "98006b1480714af13eea4c791a7ed1a7b743aa6c46d43ae4e813c6b74b9b5d44",
+    ),
     "stats-drift-csv": (
         ["stats", "--input", "@drift", "--format", "csv"],
         "ed870aa288f274572e67dffcc1db3638452a24b7634a014244cdd2e3ede4da6c",

@@ -5,9 +5,11 @@ import math
 import struct
 
 import mpmath
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from betlab.errors import DomainError
 from betlab.sysstats import _P_SLACK
 from betlab.tails import _SQRT1_2, ndtr, t_pvalue
 
@@ -91,3 +93,10 @@ def test_t_pvalue_ends():
     # A t whose square overflows leaves the fraction unconverged.
     assert t_pvalue(1e200, 30) is None
     assert t_pvalue(math.nan, 30) is None
+
+
+@pytest.mark.parametrize("df", [0, -1.0, 5e-324, math.nan, math.inf])
+def test_t_pvalue_refuses_degrees_of_freedom_out_of_range(df):
+    # 0 raised ZeroDivisionError; half of 5e-324 is 0, where lgamma raised ValueError.
+    with pytest.raises(DomainError, match="^df must lie in"):
+        t_pvalue(1.0, df)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betlab import render
+from betlab import render, wealthsim
 from betlab.betmath import BetSpec, asymptotic_growth
 from betlab.errors import DomainError
 from betlab.seeding import DEFAULT_SEED
 from betlab.wealthsim import (
+    LossKind,
     SimConfig,
     WealthPath,
     adaptive_policy_growth,
@@ -163,6 +165,18 @@ class TestOutcomeMatrix:
             oracle_outcome_matrix(bet, n_steps, n_paths, root_seed, first),
         )
 
+    @pytest.mark.parametrize("root_seed", [0, DEFAULT_SEED, 2**64 - 1])
+    def test_draw_chunks_across_a_key_block_match_oracle(self, root_seed):
+        # 1000 steps fill four rows of the draw buffer: nine paths are two
+        # full chunks and a partial one, and keys 4093-4101 cross a block
+        # of seed words.
+        assert wealthsim._DRAW_CELLS // 1000 == 4
+        bet = BetSpec(0.6, 1.0)
+        assert np.array_equal(
+            outcome_matrix(bet, 1000, 9, root_seed, first=4093),
+            oracle_outcome_matrix(bet, 1000, 9, root_seed, 4093),
+        )
+
     @pytest.mark.parametrize(
         "first", [-1, True, 2.5, "3", math.nan, -(10**5000)],
         ids=["-1", "True", "2.5", "str", "nan", "-10**5000"],
@@ -222,6 +236,67 @@ class TestLossFunctionals:
         lw = np.concatenate([[0.0], np.cumsum(increments)])
         dds = [drawdown(path_from_log_wealth(lw[: k + 1])) for k in range(1, lw.size)]
         assert all(a <= b + 1e-15 for a, b in zip(dds, dds[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_paths=st.integers(1, 40),
+        n_points=st.integers(1, 40),
+        spare=st.integers(0, 3),
+        kind=st.sampled_from(list(LossKind)),
+        scratch=st.booleans(),
+        data=st.data(),
+    )
+    def test_step_major_storage_gives_the_same_bits(
+        self, n_paths, n_points, spare, kind, scratch, data
+    ):
+        # The grational kernel stores a block with more paths than points
+        # step-major, as the first rows of a larger buffer; there the
+        # running peak advances a step at a time.  Ties are common; adding
+        # 0.0 turns -0.0 into 0.0, since a tie of signed zeros has no one
+        # minimum.
+        steps = st.floats(-2, 2) | st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        size = n_paths * n_points
+        values = data.draw(st.lists(steps, min_size=size, max_size=size))
+        lw = np.cumsum(np.reshape(values, (n_paths, n_points)), axis=1) + 0.0
+        stored = np.empty((n_points, n_paths + spare)).T[:n_paths]
+        stored[...] = lw
+        assert stored.strides[0] == stored.itemsize
+        want = path_losses(lw, kind, np.empty_like(lw) if scratch else None)
+        got = path_losses(stored, kind, np.empty_like(stored) if scratch else None)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "lw, got",
+        [
+            (np.array(1.0), "shape () of float64"),
+            (np.zeros((3, 0)), "shape (3, 0) of float64"),
+            (np.array([True, False]), "shape (2,) of bool"),
+            (np.array([1j]), "shape (1,) of complex128"),
+        ],
+        ids=["0-d", "no points", "bool", "complex"],
+    )
+    def test_path_losses_refuses_an_array_without_a_real_path(self, lw, got):
+        message = f"lw must be a real ndarray with at least one point on its last axis, got {got}"
+        for kind in LossKind:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                path_losses(lw, kind)
+
+    @pytest.mark.parametrize(
+        "out, got",
+        [
+            ("x", "'x'"),
+            (np.empty((2, 3)), "shape (2, 3) of float64"),
+            (np.empty((3, 2), dtype=int), f"shape (3, 2) of {np.dtype(int)}"),
+            ([[0.0, 0.0]] * 3, "[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]"),
+        ],
+        ids=["str", "transposed", "int", "list"],
+    )
+    def test_path_losses_refuses_bad_scratch(self, out, got):
+        # Once "return arrays must be of ArrayType" or a broadcast ValueError.
+        message = f"out must be None or a float ndarray of shape (3, 2), got {got}"
+        for kind in LossKind:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                path_losses(np.zeros((3, 2)), kind, out)
 
 
 class TestWealthPath:
