@@ -162,7 +162,8 @@ def t_pvalue(t: float, df: float) -> float | None:
     lam = (a + b) * y - b
     if lam >= 0.0:
         fraction = _beta_fraction(a, b, x, y, lam)
-        return None if fraction is None else math.exp(log_front) * fraction
+        # At a tiny df the product can round past 1 (1.000000000000032 at df = 1e-307).
+        return None if fraction is None else min(1.0, math.exp(log_front) * fraction)
     # Near x = 1 the fraction converges for I_y(b, a) = 1 - I_x(a, b).
     fraction = _beta_fraction(b, a, y, x, -lam)
     return None if fraction is None else 1.0 - math.exp(log_front) * fraction

@@ -17,7 +17,7 @@ A third record is written the way a hand-kept file might be: lower-case
 and space-padded sides, blank lines, a trailing note column and quoted
 P&L cells.  ``MALFORMED`` holds the exact message and exit code for each
 kind of bad trades file, including which line is reported when several
-are bad.
+are bad; a new refusal of ``betlab stats`` is a new row there.
 """
 
 import hashlib
@@ -518,6 +518,26 @@ MALFORMED = {
                                "error: line 3: could not convert string to float: 'zz'\n"),
     "bad-id-before-long-cell": (HEADER + "x,L,1\n2,S," + "1" * 200_000 + "\n", 1,
                                 "error: line 2: invalid literal for int() with base 10: 'x'\n"),
+    # A cell past the field limit on its own once escaped as a traceback.
+    "long-cell": (HEADER + "1,L," + "1" * 200_000 + "\n", 1,
+                  "error: line 2: field larger than field limit (131072)\n"),
+    "long-cell-after-good-line": (HEADER + "1,L,1\n2,S," + "1" * 200_000 + "\n", 1,
+                                  "error: line 3: field larger than field limit (131072)\n"),
+    # A comment line is read as data, not skipped.
+    "comment-line": (HEADER + "# a comment\n1,L,1\n", 1,
+                     "error: line 2: side must be one of L,S,F, got None\n"),
+    # A quoted cell sends the file to the row reader; TradeSeries refuses a
+    # flat period's P&L from either reader the same way.
+    "quoted-flat-pnl": (HEADER + '1,F,"1"\n', 1, "error: flat period 1 carries pnl 1.0\n"),
+    # 17 Long periods just under DBL_MAX/17: numpy's pairwise sum (so the
+    # mean) is finite, the running sum is not.
+    "cumulative-overflow": (
+        HEADER + "".join(f"{i},L,1.0574665499190091e+307\n" for i in range(1, 18)), 1,
+        "error: cumulative P&L overflows double precision\n",
+    ),
+    # Two periods whose P&L sum passes double range: the mean overflows.
+    "mean-overflow": (HEADER + "1,L,1e308\n2,L,1e308\n", 1,
+                      "error: P&L sums overflow double precision\n"),
 }
 
 

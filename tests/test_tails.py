@@ -3,6 +3,7 @@ bit, and the incomplete beta function of mpmath at 50 digits."""
 
 import math
 import struct
+import sys
 
 import mpmath
 import pytest
@@ -93,6 +94,25 @@ def test_t_pvalue_ends():
     # A t whose square overflows leaves the fraction unconverged.
     assert t_pvalue(1e200, 30) is None
     assert t_pvalue(math.nan, 30) is None
+
+
+# df log-uniform over every finite value the function takes.
+DFS = st.floats(math.log(sys.float_info.min), math.log(sys.float_info.max)).map(math.exp)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t=st.floats(allow_nan=False, allow_infinity=False), df=DFS)
+@example(t=1.0, df=sys.float_info.min)
+@example(t=1.7e308, df=sys.float_info.max)
+def test_t_pvalue_is_a_probability(t, df):
+    p = t_pvalue(t, df)
+    assert p is None or 0.0 <= p <= 1.0, p
+
+
+@pytest.mark.parametrize("t", [1e-10, -1e-10, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+def test_t_pvalue_at_a_tiny_df_is_one(t):
+    # The product of the front factor and the fraction once rounded to 1.000000000000032.
+    assert t_pvalue(t, 1e-307) == 1.0
 
 
 @pytest.mark.parametrize("df", [0, -1.0, 5e-324, math.nan, math.inf])
