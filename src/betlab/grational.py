@@ -229,11 +229,13 @@ def solve(
 ) -> GrationalSolution:
     """Grid-search the constrained problem with common random numbers.
 
-    The grid is {0, grid_step, 2*grid_step, ...} up to min(f_max, 0.999);
-    every fraction is scored on the same outcome matrix.  Returns the
-    feasible fraction with the largest estimated expected growth.  f = 0
-    incurs zero loss, so with a positive threshold the feasible set is
-    never empty.
+    The grid is {0, grid_step, 2*grid_step, ...} up to min(f_max, 0.999),
+    that end included when the decimal cap is a whole number of steps
+    (0.29 / 0.01 is 28.999999999999996, so the count adds 1e-9 before
+    rounding down); every fraction is scored on the same outcome matrix.
+    Returns the feasible fraction with the largest estimated expected
+    growth.  f = 0 incurs zero loss, so with a positive threshold the
+    feasible set is never empty.
     """
     instance(problem, "problem", GrationalProblem)
     instance(budget, "budget", McBudget)
@@ -245,7 +247,7 @@ def solve(
             f"got {budget.n_paths}"
         )
     cap = min(f_max, _F_CAP)
-    fractions = np.arange(math.floor(cap / grid_step) + 1) * grid_step
+    fractions = np.arange(math.floor(cap / grid_step + 1e-9) + 1) * grid_step
     blocks = _win_blocks(problem.bet, problem.n_steps, budget)
     return best_feasible(_grid_stats(problem, blocks, fractions), problem.max_prob)
 

@@ -388,7 +388,6 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     def run_cli(argv, threads):
         env = dict(os.environ)
-        env.pop("GRATIONAL_SEED", None)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
         proc = subprocess.run(

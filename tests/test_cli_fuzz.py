@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betlab.cli import SEED_ENV_VAR, run
+from betlab.cli import run
 
 EDGES = [0.0, -0.0, 5e-324, 1e-320, 1e-12, 0.5, 1.0, 1e15, 1e154, 1e300, 1.7976931348623157e308]
 FLOATS = st.one_of(
@@ -41,13 +41,6 @@ SEEDS = st.none() | st.integers(min_value=-1, max_value=2**64)
 
 FORMATS = st.sampled_from(["text", "json", "csv"])
 SETTINGS = settings(max_examples=150, deadline=None)  # some runs import scipy.special
-
-
-@pytest.fixture(autouse=True, scope="module")
-def clean_seed_env():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv(SEED_ENV_VAR, raising=False)
-        yield
 
 
 def check(argv: list[str]) -> None:
@@ -205,24 +198,3 @@ def test_stats(trades_dir, fmt, pnls, years, alpha, which):
     argv += [] if years is None else [f"--years={years}"]
     argv += [] if alpha is None else [f"--ppgs-alpha={alpha}"]
     check(argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["kelly", "--p=--", "--d", "1"],
-        ["simulate", "--p", "0.6", "--d", "1", "--f=--", "--steps", "3", "--paths", "2"],
-        ["grational", "--p", "0.6", "--d", "1", "--steps=--", "--threshold", "0.5",
-         "--max-prob", "0.1"],
-        ["pennies", "--p1", "coinflip", "--p2=--", "--rounds", "4"],
-        ["miller", "--sds=--", "--shares", "1", "--buyers", "2"],
-        ["popp", "--state=--"],
-        ["stats", "--input=--"],
-        ["kelly", "--p", "0.6", "--d", "1", "--seed=--"],
-    ],
-    ids=lambda argv: " ".join(argv),
-)
-def test_double_dash_value_is_a_usage_error(argv, capsys):
-    assert run(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("usage:") and "expected one argument" in err

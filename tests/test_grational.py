@@ -2,12 +2,13 @@ import math
 import runpy
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betlab import grational, seeding
@@ -344,6 +345,17 @@ class TestSolve:
             == grid.p_violation.shape
             == grid.feasible.shape
         )
+
+    @given(cap=st.integers(0, 999).map("0.{:03d}".format),
+           step=st.sampled_from(["0.1", "0.05", "0.03", "0.02", "0.01", "0.005", "0.001", "1e-4"]))
+    @example(cap="0.290", step="0.01")
+    @settings(max_examples=100, deadline=None)
+    def test_grid_ends_at_the_decimal_cap(self, cap, step):
+        # 0.29 / 0.01 is 28.999999999999996: the grid once stopped at 0.28.
+        problem = GrationalProblem(BET, 1, LossKind.WORST_LOSS, 0.5, 0.5)
+        grid = solve(problem, McBudget(1000, 1), float(step), float(cap)).grid
+        n = math.floor(Fraction(cap) / Fraction(step)) + 1
+        assert np.array_equal(grid.f, np.arange(n) * float(step))
 
 
 class TestFirstViolationSearch:

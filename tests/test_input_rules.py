@@ -10,7 +10,6 @@ the wrong shape -- must raise ``DomainError``: never a
 numpy numbers stay accepted.
 """
 
-import contextlib
 import dataclasses
 import io
 import math
@@ -35,7 +34,6 @@ from betlab.betmath import (
     mixed_sequence_fractions,
     stochastic_p_fraction,
 )
-from betlab.cli import SEED_ENV_VAR, run
 from betlab.errors import DomainError
 from betlab.games import (
     Alternator,
@@ -1043,19 +1041,6 @@ class TestRules:
         assert got.dtype == object and not got.flags.writeable
         assert [type(v) for v in got] == [int, int]
         assert got.tolist() == [int(v) for v in ids]
-
-
-def test_seed_env_message(monkeypatch):
-    # The CLI reports an out-of-range GRATIONAL_SEED in the rule's words.
-    monkeypatch.setenv(SEED_ENV_VAR, str(2**64))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(["pennies", "--p1", "coinflip", "--p2", "coinflip", "--rounds", "3"])
-    assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue() == (
-        f"error: bad {SEED_ENV_VAR} value '{2**64}': "
-        f"seed must lie in [0, {2**64 - 1}], got {2**64}\n"
-    )
 
 
 # Valid arguments for each record whose fields declare their rules with

@@ -15,19 +15,28 @@ takes the normal approximation and ``--ppgs-alpha`` runs the t-test;
 miller's normal mode prints full-precision ``ndtri`` quantiles in JSON.
 A third record is written the way a hand-kept file might be: lower-case
 and space-padded sides, blank lines, a trailing note column and quoted
-P&L cells.  ``MALFORMED`` holds the exact message and exit code for each
-kind of bad trades file, including which line is reported when several
-are bad; a new refusal of ``betlab stats`` is a new row there.
+P&L cells.
+
+Refusals have two tables.  ``MALFORMED`` holds the exact message and exit
+code for each kind of bad trades file, including which line is reported
+when several are bad.  ``REFUSED`` holds every other refusal of ``betlab``
+and of the scripts, a bad argv or environment: the exit code and the exact
+last line of stderr, which on exit 2 ends one argparse usage block.  A new
+refusal is a new row in one of them, and every subcommand and script has a
+``REFUSED`` row.
 """
 
+import argparse
 import hashlib
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-from betlab.cli import SEED_ENV_VAR, run
+from betlab.cli import SEED_ENV_VAR, build_parser, run
+from betlab.errors import MAX_LENGTH
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -256,7 +265,7 @@ CASES = {
     ),
     "grational-drawdown-csv": (
         [*DRAWDOWN, "--format", "csv"],
-        "19fd36783ea6d239e98d2a7f65b99069071c786fd05bea6a7da68fd9cb26d9d9",
+        "dc9f2e66ae630d84b329e0834d8293c4e3a0dfd06fa0a208acebb344cf6648d9",
     ),
     # Blocks of 32 paths of 2000 steps: the kernel keeps them path by path.
     "grational-long-drawdown-csv": (
@@ -392,32 +401,32 @@ def resolve(argv, tmp_path):
     return out
 
 
-def run_script(argv, monkeypatch) -> None:
-    """Run scripts/<argv[0]> as ``python3 scripts/<argv[0]> argv[1:]`` would."""
+def run_script(argv, monkeypatch) -> int:
+    """Run scripts/<argv[0]> as ``python3 scripts/<argv[0]> argv[1:]`` would;
+    return its exit code."""
     monkeypatch.setattr(sys, "argv", argv)
     try:
         runpy.run_path(str(SCRIPTS / argv[0]), run_name="__main__")
     except SystemExit as exc:
-        assert exc.code in (0, None), exc.code
+        return exc.code
+    return 0
 
 
-def run_case(argv, tmp_path, monkeypatch) -> None:
-    if argv[0].endswith(".py"):
-        run_script(argv, monkeypatch)
-    else:
-        assert run(resolve(argv, tmp_path)) == 0
+def run_case(argv, tmp_path, monkeypatch) -> int:
+    if argv and argv[0].endswith(".py"):
+        return run_script(argv, monkeypatch)
+    return run(resolve(argv, tmp_path))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_digest(name, tmp_path, capsys, monkeypatch):
     """The case's stdout, and the file it writes with ``--output``, match."""
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     argv, expected = CASES[name]
-    run_case(argv, tmp_path, monkeypatch)
+    assert run_case(argv, tmp_path, monkeypatch) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected, out
     target = tmp_path / "output"
-    run_case([*argv, "--output", str(target)], tmp_path, monkeypatch)
+    assert run_case([*argv, "--output", str(target)], tmp_path, monkeypatch) == 0
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == expected
 
@@ -549,3 +558,225 @@ def test_malformed_trades_message(name, tmp_path, capsys):
     assert run(["stats", "--input", str(path)]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
+
+
+SEED_RANGE = f"seed must lie in [0, {2**64 - 1}]"
+BAD_ENV = f"error: bad {SEED_ENV_VAR} value"
+NOT_INT = "invalid literal for int() with base 10:"
+LEVELS = "expected 9 comma-separated levels (ret,vol,sr,spd,pop,lev,sdiv,slink,srob), got 2"
+SPY_ONLY = "error: --p2 and --rake are not taken with --spy"
+BET = ["--p", "0.6", "--d", "1"]
+SPY_COINFLIP = ["pennies", "--p1", "coinflip", "--rounds", "10", "--spy"]
+EMPIRICAL_ONE = ["miller", "--mode", "empirical", "--shares", "1", "--sds", "1", "--buyers"]
+# The scripts at small sizes.
+FRONTIER = ["growth_frontier.py", "--steps", "10", "--paths", "1000", "--grid-step", "0.1",
+            "--caps", "0.1"]
+DEMO = ["overbetting_demo.py", "--steps", "20", "--paths", "2"]
+TOURNAMENT = ["pennies_tournament.py", "--rounds", "20"]
+
+# name -> (argv, environment, exit code, last line of stderr), the argv read
+# as in CASES.  Exit 1 prints only that line; exit 2 prints argparse's usage
+# first.  Python 3.11's argparse stores [] for --flag=-- without calling the
+# flag's type, so ``run`` refuses it itself, under betlab's own usage.
+REFUSED = {
+    "no-subcommand": ([], {}, 2, "betlab: error: the following arguments are required: subcommand"),
+    "unknown-subcommand": (["nonsense"], {}, 2, "betlab: error: argument subcommand: invalid "
+                           "choice: 'nonsense' (choose from 'kelly', 'simulate', 'grational', "
+                           "'stats', 'pennies', 'miller', 'popp')"),
+    "kelly-missing-d": (["kelly", "--p", "0.6"], {}, 2,
+                        "betlab kelly: error: the following arguments are required: --d"),
+    "kelly-format-xml": (["kelly", *BET, "--format", "xml"], {}, 2, "betlab kelly: error: argument "
+                         "--format: invalid choice: 'xml' (choose from 'text', 'json', 'csv')"),
+    # A flag's rule, where argparse once printed "invalid <function name> value".
+    "kelly-seed-minus-3": (["kelly", *BET, "--seed", "-3"], {}, 2,
+                           f"betlab kelly: error: argument --seed: {SEED_RANGE}, got -3"),
+    "kelly-seed-minus-1": (["kelly", *BET, "--seed", "-1"], {}, 2,
+                           f"betlab kelly: error: argument --seed: {SEED_RANGE}, got -1"),
+    "kelly-seed-dash-dash": (["kelly", *BET, "--seed=--"], {}, 2,
+                             "betlab: error: argument --seed: expected one argument"),
+    "kelly-p-dash-dash": (["kelly", "--p=--", "--d", "1"], {}, 2,
+                          "betlab: error: argument --p: expected one argument"),
+    "kelly-p-above-one": (["kelly", "--p", "1.5", "--d", "1"], {}, 1,
+                          "error: win probability must lie in [0, 1], got 1.5"),
+    "kelly-output-unwritable": (["kelly", *BET, "--output", "/nonexistent/dir/x"], {}, 1,
+                                "error: [Errno 2] No such file or directory: '/nonexistent/dir/x'"),
+    "simulate-f-dash-dash": (["simulate", *BET, "--f=--", "--steps", "3", "--paths", "2"], {}, 2,
+                             "betlab: error: argument --f: expected one argument"),
+    "simulate-env-seed-x": (["simulate", *BET, "--f", "0.2", "--steps", "3", "--paths", "2"],
+                            {SEED_ENV_VAR: "x"}, 1, f"{BAD_ENV} 'x': {NOT_INT} 'x'"),
+    "grational-negative-threshold": (
+        ["grational", *BET, "--steps", "5", "--threshold", "-1", "--max-prob", "0.1"], {}, 1,
+        "error: loss threshold must be positive, got -1.0; "
+        "a nonpositive threshold is violated even by f = 0",
+    ),
+    "grational-nan-threshold": (
+        ["grational", *BET, "--steps", "5", "--threshold", "nan", "--max-prob", "0.1"], {}, 1,
+        "error: loss threshold must lie in [-inf, inf], got nan",
+    ),
+    # Drawn in blocks, the matrix is still bounded before any path.
+    "grational-paths-1e20": (
+        ["grational", *BET, "--steps", "2", "--threshold", "1", "--max-prob", "0.1", "--paths",
+         str(10**20)], {}, 1, f"error: {10**20} paths of 2 steps exceed what numpy can index",
+    ),
+    "grational-steps-dash-dash": (
+        ["grational", *BET, "--steps=--", "--threshold", "0.5", "--max-prob", "0.1"], {}, 2,
+        "betlab: error: argument --steps: expected one argument",
+    ),
+    "stats-missing-file": (["stats", "--input", "/nonexistent/trades.csv"], {}, 1,
+                           "error: [Errno 2] No such file or directory: '/nonexistent/trades.csv'"),
+    "stats-years-1e-320": (["stats", "--input", "@drift", "--years", "1e-320"], {}, 1,
+                           "error: average gain per year overflows over 1e-320 years"),
+    "stats-input-dash-dash": (["stats", "--input=--"], {}, 2,
+                              "betlab: error: argument --input: expected one argument"),
+    "pennies-no-p2": (["pennies", "--p1", "coinflip", "--rounds", "10"], {}, 1,
+                      "error: --p2 is required unless --spy is given"),
+    "pennies-spy-p2": ([*SPY_COINFLIP, "--p2", "fixed:H"], {}, 1, SPY_ONLY),
+    "pennies-spy-rake": ([*SPY_COINFLIP, "--rake", "0.5"], {}, 1, SPY_ONLY),
+    "pennies-spy-rake-p2": ([*SPY_COINFLIP, "--rake", "0.5", "--p2", "fixed:H"], {}, 1, SPY_ONLY),
+    "pennies-p2-dash-dash": (["pennies", "--p1", "coinflip", "--p2=--", "--rounds", "4"], {}, 2,
+                             "betlab: error: argument --p2: expected one argument"),
+    "pennies-p2-exploiter:k=": (
+        ["pennies", "--p1", "coinflip", "--p2", "exploiter:k=", "--rounds", "3"], {}, 2,
+        "betlab pennies: error: argument --p2: bad strategy spec 'exploiter:k=': "
+        "expected exploiter[:k=<1..8>]",
+    ),
+    "pennies-p1-alternator:": (
+        ["pennies", "--p1", "alternator:", "--rounds", "3", "--spy"], {}, 2,
+        "betlab pennies: error: argument --p1: bad strategy spec 'alternator:': "
+        "expected alternator[:<H|T>]",
+    ),
+    # A --p1 spec prints its rule, never Python's conversion text; a value
+    # that converts keeps its range message.
+    **{
+        f"pennies-p1-{spec}": (
+            ["pennies", "--p1", spec, "--p2", "coinflip", "--rounds", "3"], {}, 2,
+            f"betlab pennies: error: argument --p1: bad strategy spec {spec!r}: {rule}",
+        )
+        for spec, rule in [
+            ("biased:x", "expected biased:<p>"),
+            ("bestresponse:1/2", "expected bestresponse:<p>"),
+            ("exploiter:k=x", "expected exploiter[:k=<1..8>]"),
+            ("exploiter:K=2.5", "expected exploiter[:k=<1..8>]"),
+            ("exploiter:x", "expected exploiter[:k=<1..8>]"),
+            ("biased:1.5", "p_h must lie in [0, 1], got 1.5"),
+            ("exploiter:K=0", "context order must lie in [1, 8], got 0"),
+            ("exploiter:k=9", "context order must lie in [1, 8], got 9"),
+            ("coinflip:0.9", "expected coinflip"),
+            # A missing value once printed "choice must be H or T, got ''".
+            ("fixed", "expected fixed:<H|T>"),
+        ]
+    },
+    "pennies-env-seed-word": (
+        ["pennies", "--p1", "coinflip", "--p2", "coinflip", "--rounds", "50"],
+        {SEED_ENV_VAR: "not-a-seed"}, 1, f"{BAD_ENV} 'not-a-seed': {NOT_INT} 'not-a-seed'",
+    ),
+    "pennies-env-seed-2e64": (
+        ["pennies", "--p1", "coinflip", "--p2", "coinflip", "--rounds", "3"],
+        {SEED_ENV_VAR: str(2**64)}, 1, f"{BAD_ENV} '{2**64}': {SEED_RANGE}, got {2**64}",
+    ),
+    **{
+        f"miller-sds-{sds!r}": (["miller", "--sds", sds, "--shares", "50", "--buyers", "1000"], {},
+                                2, f"betlab miller: error: argument --sds: {rule}")
+        for sds, rule in [
+            (",", "expected comma-separated numbers, got ','"),
+            ("", "expected comma-separated numbers, got ''"),
+            (" , ,", "expected comma-separated numbers, got ' , ,'"),
+            ("1,x", "could not convert string to float: 'x'"),
+        ]
+    },
+    "miller-sds-dash-dash": (["miller", "--sds=--", "--shares", "1", "--buyers", "2"], {}, 2,
+                             "betlab: error: argument --sds: expected one argument"),
+    "miller-oversupply": (["miller", "--sds", "10", "--shares", "50", "--buyers", "10"], {}, 1,
+                          "error: supply 50 exceeds the 10 potential buyers"),
+    # AuctionSpec declares n_shares before m_buyers.
+    "miller-first-bad-field": (["miller", "--sds", "1", "--shares", "-1", "--buyers", "0"], {}, 1,
+                               "error: n_shares must lie in [0, inf), got -1"),
+    # More buyers' estimates than a float64 array can hold.
+    "miller-buyers-1e20": ([*EMPIRICAL_ONE, str(10**20)], {}, 1,
+                           f"error: m_buyers must lie in [1, {MAX_LENGTH}], got {10**20}"),
+    "miller-buyers-2e62": ([*EMPIRICAL_ONE, str(2**62)], {}, 1,
+                           f"error: m_buyers must lie in [1, {MAX_LENGTH}], got {2**62}"),
+    "miller-empirical-env-seed": ([*EMPIRICAL_ONE, "2"], {SEED_ENV_VAR: "bad"}, 1,
+                                  f"{BAD_ENV} 'bad': {NOT_INT} 'bad'"),
+    "popp-state-two-levels": (["popp", "--state", "++,+"], {}, 2,
+                              f"betlab popp: error: argument --state: {LEVELS}"),
+    "popp-state-words": (["popp", "--state", "a,b"], {}, 2,
+                         f"betlab popp: error: argument --state: {LEVELS}"),
+    "popp-state-dash-dash": (["popp", "--state=--"], {}, 2,
+                             "betlab: error: argument --state: expected one argument"),
+    # Each script shares the CLI's seed rule.
+    **{
+        f"{argv[0]}-{name}": ([*argv, *flags], env, code, line)
+        for argv in [FRONTIER, DEMO, TOURNAMENT]
+        for name, flags, env, code, line in [
+            ("seed-minus-1", ["--seed", "-1"], {}, 2,
+             f"{argv[0]}: error: argument --seed: {SEED_RANGE}, got -1"),
+            ("seed-2e64", ["--seed", str(2**64)], {}, 2,
+             f"{argv[0]}: error: argument --seed: {SEED_RANGE}, got {2**64}"),
+            ("env-seed-minus-4", [], {SEED_ENV_VAR: "-4"}, 1,
+             f"{BAD_ENV} '-4': {SEED_RANGE}, got -4"),
+        ]
+    },
+    # No edge, so no critical fraction.
+    "overbetting_demo.py-p-no-edge": ([*DEMO, "--p", "0.4"], {}, 1,
+                                      "error: bet (p=0.4, d=1.0) has no positive edge"),
+    "overbetting_demo.py-d-inf": ([*DEMO, "--d", "inf"], {}, 1,
+                                  "error: odds must lie in (0, inf), got inf"),
+    "overbetting_demo.py-p-dash-dash": (
+        [*DEMO, "--p=--"], {}, 2, "overbetting_demo.py: error: argument --p: expected one argument"
+    ),
+    "growth_frontier.py-paths-10": (
+        [*FRONTIER, "--paths", "10"], {}, 1,
+        "error: need at least 1000 paths for usable violation estimates, got 10",
+    ),
+    "growth_frontier.py-caps-2": ([*FRONTIER, "--caps", "2"], {}, 1,
+                                  "error: max_prob must lie in [0, 1], got 2.0"),
+    **{
+        f"growth_frontier.py-caps-{caps!r}": ([*FRONTIER, "--caps", caps], {}, 2,
+                                              f"growth_frontier.py: error: argument --caps: {rule}")
+        for caps, rule in [
+            ("0.1,x", "could not convert string to float: 'x'"),
+            (",", "expected comma-separated numbers, got ','"),
+            ("", "expected comma-separated numbers, got ''"),
+        ]
+    },
+    "growth_frontier.py-threshold-dash-dash": (
+        [*FRONTIER, "--threshold=--"], {}, 2,
+        "growth_frontier.py: error: argument --threshold: expected one argument",
+    ),
+    "pennies_tournament.py-rounds-0": ([*TOURNAMENT, "--rounds", "0"], {}, 1,
+                                       f"error: n_rounds must lie in [1, {MAX_LENGTH}], got 0"),
+    "pennies_tournament.py-rounds-dash-dash": (
+        [*TOURNAMENT, "--rounds=--"], {}, 2,
+        "pennies_tournament.py: error: argument --rounds: expected one argument",
+    ),
+    "pennies_tournament.py-output-unwritable": (
+        [*TOURNAMENT, "--output", "/nonexistent/dir/x.csv"], {}, 1,
+        "error: [Errno 2] No such file or directory: '/nonexistent/dir/x.csv'",
+    ),
+}
+
+# The usage block argparse prints before its error line: "usage: ", then
+# lines indented under it.
+USAGE = re.compile(r"usage: .*\n( .*\n)*")
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused(name, tmp_path, capsys, monkeypatch):
+    argv, env, code, line = REFUSED[name]
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert run_case(argv, tmp_path, monkeypatch) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if code == 1:
+        assert err == f"{line}\n" and line.startswith("error: ")
+    else:
+        assert code == 2 and err.endswith(f"\n{line}\n"), err
+        assert USAGE.fullmatch(err.removesuffix(f"{line}\n")), err
+
+
+def test_every_command_has_a_refused_row():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {*sub.choices, *(path.name for path in SCRIPTS.glob("*.py"))}
+    assert commands - {argv[0] for argv, *_ in REFUSED.values() if argv} == set()
