@@ -1,6 +1,8 @@
 """The experiment scripts share the CLI's seed rule and ``--output`` flag.
 
-Their refusals are rows of ``REFUSED`` in ``tests/test_output_digests.py``.
+Their refusals are rows of ``REFUSED`` in ``tests/test_output_digests.py``; the
+tests here also run ``--caps``, the one flag that parses a list, through the
+script itself.
 """
 
 import runpy
@@ -50,3 +52,29 @@ def test_seed_env_var_seeds_the_script(name, monkeypatch, capsys):
     monkeypatch.setenv(SEED_ENV_VAR, "4")
     _, from_env, _ = run_script(name, SMALL[name], monkeypatch, capsys)
     assert from_env == flagged != default
+
+
+# (script, flags added to its SMALL flags, exit code)
+BAD = [
+    ("growth_frontier.py", ["--caps", "0.1,x"], 2),
+]
+
+
+@pytest.mark.parametrize(
+    ("name", "flags", "expected"), BAD, ids=[f"{n} {' '.join(f)}" for n, f, _ in BAD]
+)
+def test_bad_input_exits_with_a_message(name, flags, expected, monkeypatch, capsys):
+    code, out, err = run_script(name, [*SMALL[name], *flags], monkeypatch, capsys)
+    assert code == expected, err
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+    if expected == 2:
+        assert err.startswith("usage:")
+
+
+def test_caps_error_prints_its_rule(monkeypatch, capsys):
+    flags = [*SMALL["growth_frontier.py"], "--caps", "0.1,x"]
+    code, _, err = run_script("growth_frontier.py", flags, monkeypatch, capsys)
+    assert (code, err.splitlines()[-1]) == (
+        2, "growth_frontier.py: error: argument --caps: could not convert string to float: 'x'"
+    )
